@@ -10,7 +10,7 @@ identity attack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,12 +142,4 @@ def pgd(
 def fgsm(model: Classifier, x, y, cfg: AttackConfig, rng: RngStream | None = None) -> np.ndarray:
     """Single ascent step from a random point in the ball (step size alpha = eps
     unless the config overrides it)."""
-    fast_cfg = cfg if cfg.random_start else AttackConfig(
-        norm=cfg.norm,
-        epsilon=cfg.epsilon,
-        step_size=cfg.step_size,
-        steps=cfg.steps,
-        random_start=True,
-        input_bounds=cfg.input_bounds,
-    )
-    return pgd(model, x, y, fast_cfg, rng, steps=1, fast=True)
+    return pgd(model, x, y, replace(cfg, random_start=True), rng, steps=1, fast=True)

@@ -23,11 +23,10 @@ import numpy as np
 from .attack import AttackConfig, pgd
 from .data import Dataset
 from .model import Classifier, features
-from .numerics import RngStream, as_array, cosine_similarity, unit_rows
+from .numerics import RngStream, as_array, unit_rows
 
 __all__ = [
     "AttributionMatrix",
-    "attribution_vector",
     "attribution_vectors",
     "cas",
     "class_attribution_matrix",
@@ -52,32 +51,38 @@ class AttributionMatrix:
         return self.C.shape[0]
 
 
-def attribution_vector(model: Classifier, x, class_i: int) -> np.ndarray:
-    """A_i(x) = g(x) * W[i] (elementwise), for a single sample."""
-    vec = as_array(x, name="x")
-    if vec.ndim != 1:
-        raise ValueError(f"x must be a single 1-D sample, got shape {vec.shape}")
-    return attribution_vectors(model, vec[None, :], class_i)[0]
-
-
 def attribution_vectors(model: Classifier, x, class_i: int) -> np.ndarray:
-    """Row-wise attribution vectors for a batch, shape (batch, feature_dim)."""
+    """Row-wise A_i(x) = g(x) * W[i] (elementwise), shape (batch, feature_dim)."""
     if not (0 <= class_i < model.class_count):
         raise ValueError(f"class {class_i} out of range for {model.class_count} classes")
     return features(model, x) * model.head.weights[class_i]
 
 
-def _attacked_inputs(model: Classifier, dataset: Dataset,
-                     attack: AttackConfig | None, rng: RngStream | None) -> np.ndarray:
-    if attack is None or attack.epsilon == 0.0:
-        return dataset.inputs
-    return pgd(model, dataset.inputs, dataset.labels, attack, rng)
-
-
-def _require_all_classes(dataset: Dataset, k: int) -> None:
-    missing = [c for c in range(k) if not (dataset.labels == c).any()]
+def _class_features(model: Classifier, dataset: Dataset,
+                    attack: AttackConfig | None, rng: RngStream | None,
+                    adversarial_inputs: np.ndarray | None, provenance: dict | None,
+                    variant: str) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, dict]:
+    """Features of the attacked (or supplied, or clean) points, the row
+    indices and size of each class, and the filled-in provenance."""
+    class_rows = [dataset.class_indices(c) for c in range(model.class_count)]
+    missing = [c for c, rows in enumerate(class_rows) if len(rows) == 0]
     if missing:
         raise ValueError(f"dataset is missing samples for classes {missing}")
+    if adversarial_inputs is not None:
+        inputs = as_array(adversarial_inputs, name="adversarial_inputs")
+        if inputs.shape != dataset.inputs.shape:
+            raise ValueError("adversarial_inputs shape does not match the dataset")
+    elif attack is None or attack.epsilon == 0.0:
+        inputs = dataset.inputs
+    else:
+        inputs = pgd(model, dataset.inputs, dataset.labels, attack, rng)
+    prov = dict(provenance or {})
+    prov.setdefault("attack", None if attack is None else vars(attack).copy())
+    prov.setdefault("dataset", dataset.metadata.get("spec_hash",
+                                                    dataset.metadata.get("path")))
+    prov.setdefault("variant", variant)
+    counts = np.array([len(rows) for rows in class_rows], dtype=np.int64)
+    return features(model, inputs), class_rows, counts, prov
 
 
 def class_attribution_matrix(
@@ -97,31 +102,15 @@ def class_attribution_matrix(
     C is their pairwise cosine matrix, with the zero-vector convention
     C[i, i] = 0 for an all-zero class mean.
     """
-    k = model.class_count
-    _require_all_classes(dataset, k)
-    if adversarial_inputs is None:
-        inputs = _attacked_inputs(model, dataset, attack, rng)
-    else:
-        inputs = as_array(adversarial_inputs, name="adversarial_inputs")
-        if inputs.shape != dataset.inputs.shape:
-            raise ValueError("adversarial_inputs shape does not match the dataset")
-    feats = features(model, inputs)
-    means = np.zeros((k, model.feature_dim))
-    counts = np.zeros(k, dtype=np.int64)
-    for class_i in range(k):
-        rows = dataset.class_indices(class_i)
-        counts[class_i] = len(rows)
-        means[class_i] = feats[rows].mean(axis=0) * model.head.weights[class_i]
+    feats, class_rows, counts, prov = _class_features(
+        model, dataset, attack, rng, adversarial_inputs, provenance, "class-mean")
+    means = np.array([feats[rows].mean(axis=0) * w
+                      for rows, w in zip(class_rows, model.head.weights)])
     unit = unit_rows(means)
     c = unit @ unit.T
     c = np.clip((c + c.T) / 2.0, -1.0, 1.0)
     nonzero = np.linalg.norm(means, axis=1) > 0.0
     np.fill_diagonal(c, np.where(nonzero, 1.0, 0.0))
-    prov = dict(provenance or {})
-    prov.setdefault("attack", None if attack is None else vars(attack).copy())
-    prov.setdefault("dataset", dataset.metadata.get("spec_hash",
-                                                    dataset.metadata.get("path")))
-    prov.setdefault("variant", "class-mean")
     return AttributionMatrix(c, means, counts, prov)
 
 
@@ -151,34 +140,13 @@ def instance_cas_matrix(
     Returns the (generally asymmetric) matrix and the score
     sum_{i != j} max(entry, 0).
     """
-    k = model.class_count
-    _require_all_classes(dataset, k)
-    if adversarial_inputs is None:
-        inputs = _attacked_inputs(model, dataset, attack, rng)
-    else:
-        inputs = as_array(adversarial_inputs, name="adversarial_inputs")
-        if inputs.shape != dataset.inputs.shape:
-            raise ValueError("adversarial_inputs shape does not match the dataset")
-    feats = features(model, inputs)
-    per_class_units: list[np.ndarray] = []
-    counts = np.zeros(k, dtype=np.int64)
-    means = np.zeros((k, model.feature_dim))
-    for class_i in range(k):
-        rows = dataset.class_indices(class_i)
-        counts[class_i] = len(rows)
-        vectors = feats[rows] * model.head.weights[class_i]
-        means[class_i] = vectors.mean(axis=0)
-        per_class_units.append(unit_rows(vectors))
-    entries = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            cosines = per_class_units[i] @ per_class_units[j].T
-            entries[i, j] = float(cosines.max(axis=1).mean())
-    prov = dict(provenance or {})
-    prov.setdefault("attack", None if attack is None else vars(attack).copy())
-    prov.setdefault("dataset", dataset.metadata.get("spec_hash",
-                                                    dataset.metadata.get("path")))
-    prov.setdefault("variant", "instance-max")
+    feats, class_rows, counts, prov = _class_features(
+        model, dataset, attack, rng, adversarial_inputs, provenance, "instance-max")
+    vectors = [feats[rows] * w for rows, w in zip(class_rows, model.head.weights)]
+    means = np.array([v.mean(axis=0) for v in vectors])
+    units = [unit_rows(v) for v in vectors]
+    entries = np.array([[(ui @ uj.T).max(axis=1).mean() for uj in units]
+                        for ui in units])
     matrix = AttributionMatrix(entries, means, counts, prov)
     return matrix, cas(entries)
 

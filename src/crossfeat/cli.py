@@ -21,9 +21,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from . import __version__
 from .attack import AttackConfig
@@ -151,10 +149,6 @@ def _datasets_from(config: dict, seed: int | None) -> tuple[Dataset, Dataset]:
     count = data.get("class_count")
     return (load_tabular(data["train_path"], fmt, count),
             load_tabular(data["test_path"], fmt, count))
-
-
-def _test_set_from(config: dict, seed: int | None) -> Dataset:
-    return _datasets_from(config, seed)[1]
 
 
 def _model_from(config: dict, input_dim: int, classes: int, seed: int) -> Classifier:
@@ -331,7 +325,7 @@ def cmd_eval(config: dict, out_dir: str | None = None,
         raise ConfigError("eval.checkpoint is required")
     model, epoch, _ = load_checkpoint(section["checkpoint"])
     run_seed = seed if seed is not None else int(config.get("seed", 0))
-    test_set = _test_set_from(config, None)
+    test_set = _datasets_from(config, None)[1]
     attack = _attack_from(config)
     metrics = evaluate(model, test_set, attack, RngStream(run_seed))
     report = Report(
@@ -347,15 +341,15 @@ def cmd_eval(config: dict, out_dir: str | None = None,
 def _attribution_for(model: Classifier, test_set: Dataset,
                      attack: AttackConfig | None, clean: bool, run_seed: int,
                      checkpoint_id: str):
+    # One attacked pass: robust accuracy, CAS and ICAS describe the same points.
     use_attack = None if clean else attack
-    rng = RngStream(run_seed).split(7)
-    metrics = evaluate(model, test_set, use_attack, rng)
+    metrics, points = evaluate(model, test_set, use_attack,
+                               RngStream(run_seed).split(7), return_adversarial=True)
+    provenance = {"checkpoint": checkpoint_id}
     matrix = class_attribution_matrix(
-        model, test_set, use_attack, rng.split(0),
-        provenance={"checkpoint": checkpoint_id})
+        model, test_set, use_attack, adversarial_inputs=points, provenance=provenance)
     icas_matrix, icas = instance_cas_matrix(
-        model, test_set, use_attack, rng.split(1),
-        provenance={"checkpoint": checkpoint_id})
+        model, test_set, use_attack, adversarial_inputs=points, provenance=provenance)
     return matrix, icas_matrix, {
         "checkpoint": checkpoint_id,
         "cas": cas(matrix),
@@ -371,7 +365,7 @@ def cmd_attribution(config: dict, out_dir: str | None = None,
     if "checkpoint" not in section:
         raise ConfigError("attribution.checkpoint is required")
     run_seed = seed if seed is not None else int(config.get("seed", 0))
-    test_set = _test_set_from(config, None)
+    test_set = _datasets_from(config, None)[1]
     attack = _attack_from(config)
     clean = bool(section.get("clean", False)) or attack is None or attack.epsilon == 0.0
     model, _, _ = load_checkpoint(section["checkpoint"])

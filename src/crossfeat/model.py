@@ -34,7 +34,6 @@ __all__ = [
     "CrossEntropy",
     "Distillation",
     "GradientBundle",
-    "KlToTeacher",
     "LabelSmoothing",
     "SgdState",
     "backward",
@@ -187,24 +186,12 @@ class LabelSmoothing:
 
 
 @dataclass(frozen=True)
-class KlToTeacher:
-    """Temperature-scaled KL(teacher || student), scaled by T^2.
-
-    The reference (target) distribution is the frozen teacher's softened
-    softmax; gradients flow only through the student.
-    """
-
-    teacher: Classifier
-    temperature: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-
-
-@dataclass(frozen=True)
 class Distillation:
-    """(1 - mix) * cross-entropy + mix * T^2 * KL(teacher || student)."""
+    """(1 - mix) * cross-entropy + mix * T^2 * KL(teacher || student).
+
+    The reference distribution is the frozen teacher's softened softmax;
+    ``mix=1`` is pure distillation.
+    """
 
     teacher: Classifier
     temperature: float = 1.0
@@ -217,7 +204,7 @@ class Distillation:
             raise ValueError(f"mix must lie in [0, 1], got {self.mix}")
 
 
-LossSpec = CrossEntropy | LabelSmoothing | KlToTeacher | Distillation
+LossSpec = CrossEntropy | LabelSmoothing | Distillation
 
 
 @dataclass
@@ -294,12 +281,23 @@ def _check_labels(y, batch: int, classes: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def _input_grad_only(model: Classifier, acts: list[np.ndarray],
-                     dlogits: np.ndarray) -> np.ndarray:
+def _backprop(model: Classifier, acts: list[np.ndarray], dlogits: np.ndarray,
+              params: dict[str, np.ndarray] | None = None) -> np.ndarray:
+    """Propagates d loss/d logits back to d loss/d inputs; when ``params`` is
+    a dict, it also receives the parameter gradients."""
+    if params is not None:
+        params["head.weights"] = dlogits.T @ acts[-1]
+        if model.head.bias is not None:
+            params["head.bias"] = dlogits.sum(axis=0)
     dh = dlogits @ model.head.weights
     for i in range(len(model.hidden) - 1, -1, -1):
+        layer = model.hidden[i]
         dpre = dh * (acts[i + 1] > 0.0)
-        dh = dpre @ model.hidden[i].weights
+        if params is not None:
+            params[f"hidden.{i}.weights"] = dpre.T @ acts[i]
+            if layer.bias is not None:
+                params[f"hidden.{i}.bias"] = dpre.sum(axis=0)
+        dh = dpre @ layer.weights
     return dh
 
 
@@ -318,7 +316,7 @@ def _loss_and_logit_grad(spec: LossSpec, logits: np.ndarray, labels: np.ndarray,
     def ce_parts(target: np.ndarray) -> tuple[float, np.ndarray]:
         logp = log_softmax(logits)
         loss = float(-(target * logp).sum() / batch)
-        return loss, (softmax(logits) - target) / batch
+        return loss, (np.exp(logp) - target) / batch
 
     if isinstance(spec, CrossEntropy):
         return (*ce_parts(onehot), None)
@@ -327,7 +325,7 @@ def _loss_and_logit_grad(spec: LossSpec, logits: np.ndarray, labels: np.ndarray,
             raise ValueError("label smoothing needs at least 2 classes")
         target = (1.0 - spec.beta) * onehot + (spec.beta / (classes - 1)) * (1.0 - onehot)
         return (*ce_parts(target), None)
-    if isinstance(spec, (KlToTeacher, Distillation)):
+    if isinstance(spec, Distillation):
         temp = spec.temperature
         teacher_logits, teacher_acts = _forward_cached(spec.teacher, x)
         if teacher_logits.shape != logits.shape:
@@ -344,9 +342,7 @@ def _loss_and_logit_grad(spec: LossSpec, logits: np.ndarray, labels: np.ndarray,
         # d KL / d teacher logits = (diag(q_t) - q_t q_t^T)(log q_t - log q_s) / T.
         d_teacher = q_t * (gap - (q_t * gap).sum(axis=1, keepdims=True))
         d_teacher *= temp / batch
-        kl_dx = _input_grad_only(spec.teacher, teacher_acts, d_teacher)
-        if isinstance(spec, KlToTeacher):
-            return kl_loss, kl_grad, kl_dx
+        kl_dx = _backprop(spec.teacher, teacher_acts, d_teacher)
         ce_loss, ce_grad = ce_parts(onehot)
         loss = (1.0 - spec.mix) * ce_loss + spec.mix * kl_loss
         return (loss, (1.0 - spec.mix) * ce_grad + spec.mix * kl_grad,
@@ -372,19 +368,7 @@ def backward(
     loss, dlogits, extra_dx = _loss_and_logit_grad(loss_spec, logits, labels, arr)
 
     params: dict[str, np.ndarray] | None = {} if include_params else None
-    if include_params:
-        params["head.weights"] = dlogits.T @ acts[-1]
-        if model.head.bias is not None:
-            params["head.bias"] = dlogits.sum(axis=0)
-    dh = dlogits @ model.head.weights
-    for i in range(len(model.hidden) - 1, -1, -1):
-        layer = model.hidden[i]
-        dpre = dh * (acts[i + 1] > 0.0)
-        if include_params:
-            params[f"hidden.{i}.weights"] = dpre.T @ acts[i]
-            if layer.bias is not None:
-                params[f"hidden.{i}.bias"] = dpre.sum(axis=0)
-        dh = dpre @ layer.weights
+    dh = _backprop(model, acts, dlogits, params)
     if extra_dx is not None:
         dh = dh + extra_dx
     return GradientBundle(params=params, inputs=dh, loss=loss, logits=logits)

@@ -126,12 +126,22 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
 
 
+def _pow2_scaled(arr: np.ndarray, axis: int | None = None) -> np.ndarray:
+    # Divides by the power of two just above the largest |entry| (per slice
+    # along ``axis``), so squared norms neither underflow nor overflow.  The
+    # scaling is exact, so results that stayed in the normal range before
+    # are bit-identical.
+    _, exponent = np.frexp(np.abs(arr).max(axis=axis, keepdims=True, initial=0.0))
+    return np.ldexp(arr, -exponent)
+
+
 def cosine_similarity(a, b) -> float:
     """Cosine of the angle between two vectors; 0.0 if either has zero norm."""
     va = as_array(a, name="a").ravel()
     vb = as_array(b, name="b").ravel()
     if va.shape != vb.shape:
         raise ValueError(f"shape mismatch: {va.shape} vs {vb.shape}")
+    va, vb = _pow2_scaled(va), _pow2_scaled(vb)
     na = math.sqrt(float(va @ va))
     nb = math.sqrt(float(vb @ vb))
     if na == 0.0 or nb == 0.0:
@@ -149,6 +159,7 @@ def unit_rows(matrix) -> np.ndarray:
     mat = as_array(matrix, name="matrix")
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {mat.shape}")
+    mat = _pow2_scaled(mat, axis=1)
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
     return mat / safe

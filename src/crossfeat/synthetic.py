@@ -31,7 +31,7 @@ the same quantity from raw samples without using the formula under test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -26,7 +26,7 @@ from crossfeat.attack import AttackConfig, pgd
 from crossfeat.attribution import (attribution_vectors, cas,
                                    class_attribution_matrix, instance_cas_matrix)
 from crossfeat.data import Dataset, PlantedSpec, generate_planted
-from crossfeat.model import (Classifier, CrossEntropy, Distillation, KlToTeacher,
+from crossfeat.model import (Classifier, CrossEntropy, Distillation,
                              LabelSmoothing, backward, forward)
 from crossfeat.numerics import RngStream, cosine_similarity
 from crossfeat.synthetic import (LinearHypothesis, SyntheticParams, eps0, eps1,
@@ -257,7 +257,7 @@ class TestCriterion06:
             else:
                 teacher = Classifier.create(in_dim, widths, classes, stream.split(5))
                 _jitter(teacher, stream.split(6))
-                spec = (KlToTeacher(teacher, temperature=2.0) if k % 4 == 2
+                spec = (Distillation(teacher, temperature=2.0, mix=1.0) if k % 4 == 2
                         else Distillation(teacher, temperature=3.0, mix=0.3))
             bundle = backward(model, x, y, spec)
             arrays = dict(model.param_items())

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from crossfeat.attack import AttackConfig
-from crossfeat.attribution import (AttributionMatrix, attribution_vector,
-                                   attribution_vectors, cas,
+from crossfeat.attribution import (AttributionMatrix, attribution_vectors, cas,
                                    class_attribution_matrix,
                                    instance_cas_matrix, load_matrix,
                                    matrix_diff, save_matrix)
@@ -36,8 +35,8 @@ def random_setup(seed=0, k=3, dim=5, n=12):
 class TestAttributionVector:
     def test_elementwise_product_with_head_row(self):
         model = linear([[1.0, 2.0], [0.5, -1.0]])
-        got = attribution_vector(model, np.array([3.0, -2.0]), 0)
-        assert np.allclose(got, [3.0, -4.0], atol=1e-15)
+        got = attribution_vectors(model, np.array([[3.0, -2.0]]), 0)
+        assert np.allclose(got, [[3.0, -4.0]], atol=1e-15)
 
     def test_entries_sum_to_logit(self):
         model, data = random_setup()
@@ -45,11 +44,6 @@ class TestAttributionVector:
         for class_i in range(model.class_count):
             sums = attribution_vectors(model, data.inputs, class_i).sum(axis=1)
             assert np.allclose(sums, logits[:, class_i], atol=1e-10)
-
-    def test_single_sample_requires_1d(self):
-        model = linear([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="1-D"):
-            attribution_vector(model, np.ones((2, 2)), 0)
 
     def test_class_out_of_range(self):
         model = linear([[1.0, 0.0], [0.0, 1.0]])

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from crossfeat import cli
-from crossfeat.attribution import load_matrix
+from crossfeat.attribution import (cas, class_attribution_matrix,
+                                   instance_cas_matrix, load_matrix)
 from crossfeat.cli import (ConfigError, cmd_attribution, cmd_eval,
                            cmd_gen_data, cmd_report, cmd_sweep,
                            cmd_synth_verify, cmd_train, config_hash,
                            load_config)
 from crossfeat.data import PlantedSpec, generate_planted, load_tabular
-from crossfeat.model import Classifier, save_checkpoint
+from crossfeat.model import Classifier, load_checkpoint, save_checkpoint
 from crossfeat.numerics import RngStream
+from crossfeat.training import evaluate
 
 
 def base_config(**overrides):
@@ -231,6 +233,30 @@ class TestAttributionCmd:
         config["attack"]["epsilon"] = 0.0
         report = cmd_attribution(config)
         assert report.summary["clean_attribution"] is True
+
+    def test_metrics_describe_one_attacked_pass(self, run_dir, monkeypatch):
+        # With a random start every attack pass lands on different points, so
+        # CAS, ICAS and robust accuracy agree only if they share one pass.
+        passes = []
+
+        def recording_evaluate(*args, **kwargs):
+            passes.append(evaluate(*args, **kwargs))
+            return passes[-1]
+
+        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+        config = base_config(attribution={"checkpoint": f"{run_dir}/best.ckpt"})
+        config["attack"]["random_start"] = True
+        report = cmd_attribution(config, seed=5)
+        assert len(passes) == 1
+        metrics, points = passes[0]
+        model, _, _ = load_checkpoint(f"{run_dir}/best.ckpt")
+        _, test_set = generate_planted(PlantedSpec(**config["data"]["planted"]))
+        assert not np.array_equal(points, test_set.inputs)
+        matrix = class_attribution_matrix(model, test_set, adversarial_inputs=points)
+        _, icas = instance_cas_matrix(model, test_set, adversarial_inputs=points)
+        assert report.summary["robust_acc"] == metrics["robust_acc"]
+        assert report.summary["cas"] == cas(matrix)
+        assert report.summary["icas"] == icas
 
     def test_requires_checkpoint(self):
         with pytest.raises(ConfigError, match="checkpoint"):

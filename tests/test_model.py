@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from crossfeat.model import (Affine, Classifier, CrossEntropy, Distillation,
-                             KlToTeacher, LabelSmoothing, SgdState, backward,
-                             features, forward, load_checkpoint, log_softmax,
+                             LabelSmoothing, SgdState, backward, features,
+                             forward, load_checkpoint, log_softmax,
                              save_checkpoint, sgd_step, softmax)
 from crossfeat.numerics import RngStream
 
@@ -181,7 +181,7 @@ class TestGradients:
         return [
             CrossEntropy(),
             LabelSmoothing(beta=0.2),
-            KlToTeacher(teacher, temperature=2.0),
+            Distillation(teacher, temperature=2.0, mix=1.0),
             Distillation(teacher, temperature=2.0, mix=0.5),
         ]
 
@@ -257,20 +257,10 @@ class TestLossEquivalences:
         for name in ce.params:
             assert np.allclose(mixed.params[name], ce.params[name], atol=1e-14)
 
-    def test_distillation_mix_one_equals_pure_kl(self):
-        model = tiny_model()
-        teacher = tiny_model(seed=17)
-        x, y = tiny_batch(model)
-        kl = backward(model, x, y, KlToTeacher(teacher, temperature=2.0))
-        mixed = backward(model, x, y, Distillation(teacher, temperature=2.0, mix=1.0))
-        assert mixed.loss == pytest.approx(kl.loss, abs=1e-14)
-        for name in kl.params:
-            assert np.allclose(mixed.params[name], kl.params[name], atol=1e-14)
-
     def test_kl_to_self_is_zero(self):
         model = tiny_model()
         x, y = tiny_batch(model)
-        bundle = backward(model, x, y, KlToTeacher(model, temperature=3.0))
+        bundle = backward(model, x, y, Distillation(model, temperature=3.0, mix=1.0))
         assert bundle.loss == pytest.approx(0.0, abs=1e-12)
         for grad in bundle.params.values():
             assert np.allclose(grad, 0.0, atol=1e-12)
@@ -280,7 +270,7 @@ class TestLossEquivalences:
         with pytest.raises(ValueError, match="beta"):
             LabelSmoothing(beta=1.0)
         with pytest.raises(ValueError, match="temperature"):
-            KlToTeacher(teacher, temperature=0.0)
+            Distillation(teacher, temperature=0.0, mix=1.0)
         with pytest.raises(ValueError, match="mix"):
             Distillation(teacher, mix=1.5)
 
@@ -289,7 +279,7 @@ class TestLossEquivalences:
         teacher = tiny_model(seed=17, classes=4)
         x, y = tiny_batch(model)
         with pytest.raises(ValueError, match="class counts"):
-            backward(model, x, y, KlToTeacher(teacher))
+            backward(model, x, y, Distillation(teacher, mix=1.0))
 
 
 class TestSgdStep:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossfeat.numerics import (RngStream, as_array, cosine_similarity,
@@ -118,6 +118,8 @@ class TestCosineSimilarity:
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=3, max_size=3),
            st.lists(st.floats(min_value=-10, max_value=10), min_size=3, max_size=3))
     @settings(max_examples=80, deadline=None)
+    # The squared norm of v underflows; unscaled, the cosine was 1.0000000037.
+    @example([1.0, 1.0, 0.0], [7.8e-159, 7.8e-159, 0.0])
     def test_bounded(self, u, v):
         assert -1.0 - 1e-12 <= cosine_similarity(u, v) <= 1.0 + 1e-12
 
@@ -130,7 +132,9 @@ class TestCosineSimilarity:
 
 class TestUnitRows:
     def test_normalizes_nonzero_rows(self):
-        rows = unit_rows(np.array([[3.0, 4.0], [0.0, 2.0]]))
+        # The last row's squared norm underflows, the one before overflows.
+        rows = unit_rows(np.array([[3.0, 4.0], [0.0, 2.0], [1e200, 1e200],
+                                   [7.8e-159, 7.8e-159]]))
         assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
 
     def test_zero_rows_stay_zero(self):
