@@ -281,18 +281,19 @@ def cmd_gen_data(config: dict, out_dir: str | None = None,
     return report
 
 
-def _run_training(config: dict, seed: int, out_dir: str | None):
-    train_set, test_set = _datasets_from(config, None)
+def _run_training(config: dict, seed: int, out_dir: str | None,
+                  datasets: tuple[Dataset, Dataset]):
+    train_set, test_set = datasets
     model = _model_from(config, train_set.inputs.shape[1], train_set.class_count, seed)
     cfg = _train_cfg_from(config, seed, out_dir)
-    record = train(model, train_set, test_set, cfg)
-    return record, cfg, test_set
+    return train(model, train_set, test_set, cfg), cfg
 
 
 def cmd_train(config: dict, out_dir: str | None = None,
               seed: int | None = None) -> Report:
     run_seed = seed if seed is not None else int(config.get("seed", 0))
-    record, cfg, _ = _run_training(config, run_seed, out_dir)
+    record, cfg = _run_training(config, run_seed, out_dir,
+                                _datasets_from(config, None))
     rows = [row.as_dict() for row in record.rows]
     best = record.best_row()
     last = record.last_row()
@@ -412,6 +413,8 @@ def cmd_sweep(config: dict, out_dir: str | None = None,
     seeds = section.get("seeds", [1, 2, 3])
     if not epsilons or not modes or not seeds:
         raise ConfigError("sweep requires nonempty epsilons, modes, and seeds")
+    # Every cell trains on the same data: generate it once, not per cell.
+    datasets = _datasets_from(config, None)
     rows: list[dict] = []
     any_failed = False
     for eps in epsilons:
@@ -425,7 +428,8 @@ def cmd_sweep(config: dict, out_dir: str | None = None,
                 cell_config.setdefault("attack", {})["epsilon"] = eps
                 cell_config.setdefault("train", {})["mode"] = mode
                 try:
-                    record, cfg, _ = _run_training(cell_config, cell_seed, cell_dir)
+                    record, _ = _run_training(cell_config, cell_seed, cell_dir,
+                                              datasets)
                     best, last = record.best_row(), record.last_row()
                     row = {
                         "epsilon": eps, "mode": mode, "seed": cell_seed,

@@ -54,8 +54,6 @@ MODES = ("standard", "at", "at_ls", "at_kd", "fast_at")
 RECORD_FIELDS = ("epoch", "train_robust_loss", "train_robust_acc",
                  "test_clean_acc", "test_robust_acc", "cas")
 
-_EVAL_CHUNK = 2048
-
 
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss explodes or turns non-finite."""
@@ -164,17 +162,6 @@ def _per_sample_ce(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -logp[np.arange(len(labels)), labels]
 
 
-def _attack_inputs(model: Classifier, inputs: np.ndarray, labels: np.ndarray,
-                   attack: AttackConfig, rng: RngStream) -> np.ndarray:
-    if attack.epsilon == 0.0:
-        return inputs
-    chunks = []
-    for start in range(0, len(inputs), _EVAL_CHUNK):
-        sl = slice(start, start + _EVAL_CHUNK)
-        chunks.append(pgd(model, inputs[sl], labels[sl], attack, rng.split(start)))
-    return np.vstack(chunks)
-
-
 def evaluate(model: Classifier, dataset: Dataset,
              attack: AttackConfig | None = None,
              rng: RngStream | None = None,
@@ -202,7 +189,7 @@ def evaluate(model: Classifier, dataset: Dataset,
             "mean_loss": float(clean_loss.mean()),
         }
         return (metrics, inputs) if return_adversarial else metrics
-    adv = _attack_inputs(model, inputs, labels, attack, rng)
+    adv = pgd(model, inputs, labels, attack, rng)
     adv_logits = forward(model, adv)
     adv_correct = adv_logits.argmax(axis=1) == labels
     adv_loss = _per_sample_ce(adv_logits, labels)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import crossfeat.model
 from crossfeat.attack import AttackConfig, fgsm, pgd, project
-from crossfeat.model import Affine, Classifier, CrossEntropy, backward
+from crossfeat.model import _BLOCK_ROWS, Affine, Classifier, CrossEntropy, backward
 from crossfeat.numerics import RngStream
 
 
@@ -191,6 +192,43 @@ class TestPgd:
         # One step of size eps/4 moves exactly eps/4 along the sign direction.
         assert np.allclose(one, x + 0.025 * np.sign(LINEAR_W[1] - LINEAR_W[0]),
                            atol=1e-12)
+
+
+class TestPgdChecks:
+    def test_one_label_too_many_is_rejected(self):
+        # Blocks slice the labels, so with len(x) == _BLOCK_ROWS an extra
+        # label would reach no per-block check.
+        model = mlp()
+        x, _ = batch(model, n=_BLOCK_ROWS)
+        y = np.zeros(_BLOCK_ROWS + 1, dtype=np.int64)
+        with pytest.raises(ValueError, match="one label per row"):
+            pgd(model, x, y, AttackConfig(epsilon=0.1))
+
+    def test_overflowing_gradient_is_rejected(self):
+        # Finite logits, but the input gradient overflows to inf and the l2
+        # step normalizes it to NaN on the last (here the only) step.
+        model = mlp()
+        model.hidden[0].weights *= 1e160
+        model.head.weights *= 1e150
+        x, y = batch(model)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or inf"):
+            pgd(model, x * 1e-200, y, AttackConfig(norm="l2", epsilon=1e-200),
+                steps=1)
+
+
+class TestPgdBlocks:
+    @pytest.mark.parametrize("random_start", [False, True])
+    def test_linf_output_does_not_depend_on_block_size(self, monkeypatch,
+                                                       random_start):
+        model = mlp(widths=(16, 16))
+        x, y = batch(model, n=600)
+        cfg = AttackConfig(norm="linf", epsilon=0.3, random_start=random_start)
+        outs = []
+        for rows in (64, 256):
+            monkeypatch.setattr(crossfeat.model, "_BLOCK_ROWS", rows)
+            outs.append(pgd(model, x, y, cfg, RngStream(3, stream_id=87)))
+        assert np.array_equal(outs[0], outs[1])
+        assert not np.array_equal(outs[0], x)
 
 
 class TestFgsm:

@@ -303,6 +303,21 @@ class TestSweep:
         cell_dir = tmp_path / "sweep" / "cells" / "eps0.2_at_s1"
         assert (cell_dir / "records.jsonl").exists()
 
+    def test_generates_the_dataset_once(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return generate_planted(spec)
+
+        monkeypatch.setattr(cli, "generate_planted", counted)
+        config = base_config(sweep={"epsilons": [0.1, 0.2], "modes": ["at"],
+                                    "seeds": [1, 2]})
+        config["train"] = {"epochs": 1}
+        report = cmd_sweep(config)
+        assert report.summary["cells"] == 4
+        assert len(calls) == 1
+
     def test_requires_grid(self):
         with pytest.raises(ConfigError, match="sweep requires"):
             cmd_sweep(base_config(sweep={"epsilons": [], "modes": ["at"]}))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import crossfeat.model
 from crossfeat.model import (Affine, Classifier, CrossEntropy, Distillation,
                              LabelSmoothing, SgdState, backward, features,
                              forward, load_checkpoint, log_softmax,
@@ -114,6 +115,23 @@ class TestForward:
             forward(model, np.ones(3))
         with pytest.raises(ValueError, match="does not match"):
             forward(model, np.ones((2, 4)))
+
+    @pytest.mark.parametrize("fn", [forward, features])
+    def test_output_does_not_depend_on_block_size(self, monkeypatch, fn):
+        model = tiny_model(widths=(16, 16))
+        x, _ = tiny_batch(model, n=600)
+        outs = []
+        for rows in (64, 256):
+            monkeypatch.setattr(crossfeat.model, "_BLOCK_ROWS", rows)
+            outs.append(fn(model, x))
+        assert outs[0].shape[0] == 600
+        assert np.array_equal(outs[0], outs[1])
+
+    def test_empty_batch_keeps_its_shape(self):
+        model = tiny_model(widths=(6, 4))
+        empty = np.zeros((0, model.input_dim))
+        assert forward(model, empty).shape == (0, model.class_count)
+        assert features(model, empty).shape == (0, model.feature_dim)
 
 
 class TestSoftmax:

@@ -4,6 +4,7 @@ and the fast-attack collapse detector."""
 import numpy as np
 import pytest
 
+import crossfeat.model
 from crossfeat.attack import AttackConfig
 from crossfeat.data import Dataset, PlantedSpec, generate_planted
 from crossfeat.model import (Affine, Classifier, forward, load_checkpoint,
@@ -146,6 +147,24 @@ class TestEvaluate:
         a = evaluate(model, test_set, attack, RngStream(3, stream_id=50))
         b = evaluate(model, test_set, attack, RngStream(3, stream_id=50))
         assert a == b
+
+    def test_every_pass_runs_in_row_blocks(self, monkeypatch):
+        spec = PlantedSpec(classes=3, replication=1, noise_dims=2, mu=1.0,
+                           sigma=0.3, rotate=False, n_train=10, n_test=200,
+                           seed=0)
+        _, test = generate_planted(spec)
+        seen = []
+        inner = crossfeat.model._forward_cached
+
+        def spy(model, x):
+            seen.append(len(x))
+            return inner(model, x)
+
+        monkeypatch.setattr(crossfeat.model, "_forward_cached", spy)
+        evaluate(tiny_model(), test, AttackConfig(norm="linf", epsilon=0.2))
+        assert len(test) > crossfeat.model._BLOCK_ROWS
+        assert max(seen) <= crossfeat.model._BLOCK_ROWS
+        assert sum(seen) == len(test) * (2 + 10)  # clean, 10 steps, attacked
 
 
 class TestTrainLoop:
