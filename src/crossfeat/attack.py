@@ -4,8 +4,8 @@ Both attacks maximize untargeted cross-entropy on the true label inside the
 epsilon-ball around each input.  The multi-step variant iterates a projected
 ascent step; the fast variant is a single step from a random point in the
 ball.  sign(0) = 0, so flat coordinates do not drift; with a zero gradient an
-iterate simply stays put for that step.  epsilon = 0 degenerates to the
-identity attack.
+iterate simply stays put for that step.  epsilon = 0, or an empty batch,
+degenerates to the identity attack.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def pgd(
     if arr.ndim != 2 or labels.shape != arr.shape[:1]:
         raise ValueError(f"need 2-D inputs and one label per row, got shapes "
                          f"{arr.shape} and {labels.shape}")
-    if cfg.epsilon == 0.0:
+    if cfg.epsilon == 0.0 or len(arr) == 0:
         return arr.copy()
     if cfg.random_start:
         if rng is None:

@@ -35,7 +35,7 @@ from .training import (TrainConfig, detect_collapse, evaluate, train)
 
 __all__ = ["ConfigError", "Report", "cmd_attribution", "cmd_eval",
            "cmd_gen_data", "cmd_report", "cmd_sweep", "cmd_synth_verify",
-           "cmd_train", "main"]
+           "cmd_train", "config_hash", "load_config", "main"]
 
 
 class ConfigError(ValueError):
@@ -343,14 +343,10 @@ def _attribution_for(model: Classifier, test_set: Dataset,
                      attack: AttackConfig | None, clean: bool, run_seed: int,
                      checkpoint_id: str):
     # One attacked pass: robust accuracy, CAS and ICAS describe the same points.
-    use_attack = None if clean else attack
-    metrics, points = evaluate(model, test_set, use_attack,
+    metrics, points = evaluate(model, test_set, None if clean else attack,
                                RngStream(run_seed).split(7), return_adversarial=True)
-    provenance = {"checkpoint": checkpoint_id}
-    matrix = class_attribution_matrix(
-        model, test_set, use_attack, adversarial_inputs=points, provenance=provenance)
-    icas_matrix, icas = instance_cas_matrix(
-        model, test_set, use_attack, adversarial_inputs=points, provenance=provenance)
+    matrix = class_attribution_matrix(model, test_set, points)
+    icas_matrix, icas = instance_cas_matrix(model, test_set, points)
     return matrix, icas_matrix, {
         "checkpoint": checkpoint_id,
         "cas": cas(matrix),

@@ -106,7 +106,10 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.inputs = as_array(self.inputs, name="inputs")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind == "f" and not np.all(np.mod(labels, 1.0) == 0.0):
+            raise ValueError("labels must be whole numbers")
+        self.labels = np.asarray(labels, dtype=np.int64)
         if self.inputs.ndim != 2:
             raise ValueError(f"inputs must be 2-D, got shape {self.inputs.shape}")
         if self.labels.shape != (len(self.inputs),):

@@ -24,7 +24,6 @@ __all__ = [
     "RngStream",
     "as_array",
     "cosine_similarity",
-    "gaussian_sample",
     "std_normal_cdf",
     "unit_rows",
 ]
@@ -88,33 +87,12 @@ class RngStream:
         return RngStream(self.seed, child_id)
 
 
-def as_array(values, *, name: str = "array", allow_empty: bool = True) -> np.ndarray:
+def as_array(values, *, name: str = "array") -> np.ndarray:
     """Coerce to a float64 ndarray, rejecting non-finite entries."""
     arr = np.asarray(values, dtype=np.float64)
-    if not allow_empty and arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or inf")
     return arr
-
-
-def gaussian_sample(rng: RngStream, mean: float, sd: float, n) -> np.ndarray:
-    """Draw ``n`` iid samples from N(mean, sd^2) as float64.
-
-    ``n`` may be an int or a shape tuple.  ``sd == 0`` returns the mean
-    exactly; ``n == 0`` returns an empty array.
-    """
-    if sd < 0:
-        raise ValueError(f"sd must be non-negative, got {sd}")
-    if isinstance(n, (int, np.integer)):
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        shape = (int(n),)
-    else:
-        shape = tuple(int(d) for d in n)
-        if any(d < 0 for d in shape):
-            raise ValueError(f"shape entries must be non-negative, got {shape}")
-    return rng.generator.normal(float(mean), float(sd), size=shape)
 
 
 def std_normal_cdf(x: float) -> float:

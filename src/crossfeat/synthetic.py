@@ -51,7 +51,7 @@ __all__ = [
     "linear_classifier",
     "linear_logits",
     "ls_loss_closed",
-    "ls_loss_mc",
+    "ls_margin_samples",
     "ls_optimal_weights",
     "margin_loss",
     "max_gauss_mean_mc",
@@ -60,9 +60,10 @@ __all__ = [
     "projected_gd_oracle",
     "replicate_groups",
     "robust_loss_closed",
-    "robust_loss_mc",
+    "robust_margin_samples",
     "run_verification",
     "sample",
+    "sample_mixed",
     "worst_case_delta",
 ]
 
@@ -181,15 +182,14 @@ def linear_classifier(hypothesis: LinearHypothesis) -> Classifier:
     return Classifier(hidden=[], head=Affine(head, None))
 
 
-def worst_case_delta(params: SyntheticParams, hypothesis: LinearHypothesis | None = None,
-                     class_i: int = 1) -> np.ndarray:
+def worst_case_delta(params: SyntheticParams, class_i: int = 1) -> np.ndarray:
     """Margin-maximizing l-inf perturbation for a class-``class_i`` sample.
 
     In (delta_E | delta_C) order: -eps on the own-class evidence coordinate,
     +eps on the other classes' evidence coordinates, +eps on the shared
     coordinate indexed by the own class, -eps on the other shared
     coordinates.  For class 1: (-eps, eps, eps, eps, -eps, -eps).  Optimal
-    for every nonnegative hypothesis, so ``hypothesis`` only documents intent.
+    for every nonnegative hypothesis.
     """
     if class_i not in CLASSES:
         raise ValueError(f"class must be one of {CLASSES}, got {class_i}")
@@ -243,14 +243,6 @@ def robust_margin_samples(params: SyntheticParams, hypothesis: LinearHypothesis,
     return margin_loss(hypothesis, adv.x_e, adv.x_c, adv.labels)
 
 
-def robust_loss_mc(params: SyntheticParams, hypothesis: LinearHypothesis,
-                   n_samples: int, rng: RngStream) -> float:
-    """MC estimate of the regularized worst-case margin loss."""
-    margins = robust_margin_samples(params, hypothesis, n_samples, rng)
-    reg = 0.5 * params.lam * (hypothesis.w1 ** 2 + hypothesis.w2 ** 2)
-    return float(margins.mean()) + reg
-
-
 def robust_loss_closed(params: SyntheticParams, hypothesis: LinearHypothesis) -> float:
     """Closed form: (2eps - mu) w1 + (2eps - mu + sigma/sqrt(pi)) w2 + lam/2 ||w||^2."""
     c1 = 2.0 * params.eps - params.mu
@@ -292,14 +284,6 @@ def ls_margin_samples(params: SyntheticParams, hypothesis: LinearHypothesis,
     return (1.0 - params.beta) * margins - 0.5 * params.beta * off_sum
 
 
-def ls_loss_mc(params: SyntheticParams, hypothesis: LinearHypothesis,
-               n_samples: int, rng: RngStream) -> float:
-    """MC estimate of the regularized label-smoothed objective."""
-    values = ls_margin_samples(params, hypothesis, n_samples, rng)
-    reg = 0.5 * params.lam * (hypothesis.w1 ** 2 + hypothesis.w2 ** 2)
-    return float(values.mean()) + reg
-
-
 def ls_loss_closed(params: SyntheticParams, hypothesis: LinearHypothesis) -> float:
     """Closed form of the label-smoothed objective.
 
@@ -328,18 +312,14 @@ def ls_optimal_weights(params: SyntheticParams) -> LinearHypothesis:
     return LinearHypothesis(w1, w2)
 
 
-def eps1(params: SyntheticParams, clamp: bool = False) -> float:
+def eps1(params: SyntheticParams) -> float:
     """Radius where the smoothed objective's cross-class weight collapses.
 
-    Raw formula: (mu / (1 - beta) - sigma/sqrt(pi)) / 2.  For large beta the
-    raw value can exceed mu/2 (outside the admissible radius range); with
-    ``clamp=True`` the returned threshold is capped at mu/2, meaning the
-    cross-class weight stays positive throughout the whole admissible range.
+    Formula: (mu / (1 - beta) - sigma/sqrt(pi)) / 2.  For large beta it can
+    exceed mu/2, the edge of the admissible radius range: the cross-class
+    weight then stays positive throughout that range.
     """
-    raw = 0.5 * (params.mu / (1.0 - params.beta) - params.sigma_term)
-    if clamp:
-        return min(raw, params.mu / 2.0)
-    return raw
+    return 0.5 * (params.mu / (1.0 - params.beta) - params.sigma_term)
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +361,19 @@ def frozen_linear_coefficients(params: SyntheticParams, n_samples: int,
     return np.column_stack([c1, c2])
 
 
-def projected_gd_oracle(coefficients: np.ndarray, lam: float, steps: int = 10_000,
-                        step_size: float | None = None,
-                        start: tuple[float, float] = (0.0, 0.0)) -> LinearHypothesis:
+def projected_gd_oracle(coefficients: np.ndarray, lam: float,
+                        steps: int = 10_000) -> LinearHypothesis:
     """Projected gradient descent on mean(c @ w) + lam/2 ||w||^2 over w >= 0.
 
     The frozen coefficients make the objective an explicit strongly convex
     quadratic; the iteration is w <- max(0, w - eta * (mean(c) + lam * w))
-    with eta = 0.01 / lam unless overridden.
+    from w = 0 with eta = 0.01 / lam.
     """
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
     mean_c = np.asarray(coefficients, dtype=np.float64).mean(axis=0)
-    eta = (0.01 / lam) if step_size is None else step_size
-    w = np.asarray(start, dtype=np.float64).copy()
+    eta = 0.01 / lam
+    w = np.zeros(2)
     for _ in range(steps):
         w = np.maximum(0.0, w - eta * (mean_c + lam * w))
     return LinearHypothesis(float(w[0]), float(w[1]))
@@ -470,12 +449,9 @@ class GroupVerification:
     oracle_loss: float
     max_abs_err: float
 
-    def max_rel_err(self, scale: float) -> float:
-        return self.max_abs_err / scale if scale > 0 else self.max_abs_err
 
-
-def replicate_groups(params_list, k_groups: int | None = None,
-                     n_samples: int = 200_000, rng: RngStream | None = None,
+def replicate_groups(params_list: list[SyntheticParams], n_samples: int = 200_000,
+                     rng: RngStream | None = None,
                      steps: int = 10_000) -> GroupVerification:
     """Verify the K-group replicated model optimizes group by group.
 
@@ -486,10 +462,6 @@ def replicate_groups(params_list, k_groups: int | None = None,
     runs joint projected GD over all 2K weights on frozen MC coefficient
     samples and reports the largest deviation from the per-group formulas.
     """
-    if isinstance(params_list, SyntheticParams):
-        if k_groups is None or k_groups < 1:
-            raise ValueError("k_groups must be >= 1 when passing a single params object")
-        params_list = [params_list] * k_groups
     params_list = list(params_list)
     if not params_list:
         raise ValueError("need at least one group")

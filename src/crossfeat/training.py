@@ -9,9 +9,10 @@ config seed - one for shuffling, one for attack crafting, one for evaluation
 - so modes that ignore a stream leave the others untouched (e.g. an epsilon-0
 adversarial run steps identically to standard training).
 
-Record file format: one JSON object per line, field order fixed as
-``epoch, train_robust_loss, train_robust_acc, test_clean_acc,
-test_robust_acc, cas``.  The train_* fields are recomputed at the end of
+Record file format: one JSON object per line with the fields ``epoch,
+train_robust_loss, train_robust_acc, test_clean_acc, test_robust_acc, cas``
+and sorted keys, byte for byte what ``crossfeat train`` leaves in
+``records.jsonl``.  The train_* fields are recomputed at the end of
 each epoch on the training set with the deterministic evaluation attack, so
 they measure the epoch-end model rather than a running average over
 minibatches taken while the weights were still moving.  For mode=standard
@@ -43,7 +44,6 @@ __all__ = [
     "TrainingDiverged",
     "detect_collapse",
     "evaluate",
-    "load_records",
     "lr_at",
     "save_records",
     "train",
@@ -77,7 +77,6 @@ class TrainConfig:
     temperature: float = 2.0
     teacher: Classifier | str | None = None
     eval_attack: AttackConfig | None = None
-    attribution_on_clean: bool | None = None
     seed: int = 0
     out_dir: str | None = None
 
@@ -105,11 +104,6 @@ class TrainConfig:
         if self.eval_attack is not None:
             return self.eval_attack
         return replace(self.attack, random_start=False)
-
-    def clean_attribution(self) -> bool:
-        if self.attribution_on_clean is not None:
-            return self.attribution_on_clean
-        return self.mode == "standard"
 
 
 @dataclass
@@ -268,10 +262,8 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
         metrics, adv_inputs = evaluate(model, test_set, eval_attack,
                                        eval_stream.split(epoch),
                                        return_adversarial=True)
-        attribution_inputs = test_set.inputs if cfg.clean_attribution() else adv_inputs
-        matrix = class_attribution_matrix(model, test_set,
-                                          attack=eval_attack,
-                                          adversarial_inputs=attribution_inputs)
+        matrix = class_attribution_matrix(
+            model, test_set, None if cfg.mode == "standard" else adv_inputs)
         rows.append(EpochRow(
             epoch=epoch,
             train_robust_loss=train_metrics["mean_loss"],
@@ -304,24 +296,10 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
 
 
 def save_records(record: RunRecord, path: str) -> None:
-    """One JSON object per epoch, keys in RECORD_FIELDS order."""
+    """One JSON object per epoch with sorted keys, as ``Report.write`` does."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in record.rows:
-            fh.write(json.dumps(row.as_dict()) + "\n")
-
-
-def load_records(path: str) -> list[EpochRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-                rows.append(EpochRow(**payload))
-            except (json.JSONDecodeError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad record: {exc}") from exc
-    return rows
+            fh.write(json.dumps(row.as_dict(), sort_keys=True) + "\n")
 
 
 def detect_collapse(rows: list[EpochRow], rise: float = 0.2,

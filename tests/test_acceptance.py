@@ -405,18 +405,18 @@ class TestCriterion10:
         permuted.head.weights[perm] = model.head.weights
         moved = class_attribution_matrix(permuted, Dataset(ds.inputs,
                                                            perm[ds.labels], 4))
-        gap = float(np.abs(moved.C[np.ix_(perm, perm)] - base.C).max())
+        gap = float(np.abs(moved[np.ix_(perm, perm)] - base).max())
         if gap > 1e-12:
             problems.append(f"permutation gap {gap:.2e}")
         scaled = model.copy()
         scaled.head.weights[1] *= 7.5
-        gap = float(np.abs(class_attribution_matrix(scaled, ds).C - base.C).max())
+        gap = float(np.abs(class_attribution_matrix(scaled, ds) - base).max())
         if gap > 1e-12:
             problems.append(f"row-scale gap {gap:.2e}")
         scaled_all = model.copy()
         scaled_all.head.weights *= 0.3
         mat_all = class_attribution_matrix(scaled_all, ds)
-        gap = float(np.abs(mat_all.C - base.C).max())
+        gap = float(np.abs(mat_all - base).max())
         if gap > 1e-12:
             problems.append(f"global-scale gap {gap:.2e}")
         if abs(cas(mat_all) - cas(base)) > 1e-12:
@@ -434,7 +434,7 @@ class TestCriterion10:
                     per_sample.append(max(cosine_similarity(a, b)
                                           for b in vecs[j]))
                 oracle[i, j] = float(np.mean(per_sample))
-        gap = float(np.abs(mat.C - oracle).max())
+        gap = float(np.abs(mat - oracle).max())
         if gap > 1e-12:
             problems.append(f"instance-matrix gap {gap:.2e}")
         if abs(score - cas(oracle)) > 1e-12:

@@ -104,6 +104,14 @@ class TestPgd:
         assert np.array_equal(out, x)
         assert out is not x  # a defensive copy, not the caller's array
 
+    def test_empty_batch_keeps_its_shape(self):
+        model = mlp()
+        x = np.zeros((0, model.input_dim))
+        y = np.zeros(0, dtype=np.int64)
+        cfg = AttackConfig(epsilon=0.1)
+        for out in (pgd(model, x, y, cfg), fgsm(model, x, y, cfg, RngStream(0))):
+            assert out.shape == x.shape
+
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     def test_output_stays_inside_ball(self, norm):
         model = mlp()

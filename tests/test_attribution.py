@@ -4,8 +4,8 @@ instance-wise variant."""
 import numpy as np
 import pytest
 
-from crossfeat.attack import AttackConfig
-from crossfeat.attribution import (AttributionMatrix, attribution_vectors, cas,
+from crossfeat.attack import AttackConfig, pgd
+from crossfeat.attribution import (attribution_vectors, cas,
                                    class_attribution_matrix,
                                    instance_cas_matrix, load_matrix,
                                    matrix_diff, save_matrix)
@@ -56,14 +56,14 @@ class TestClassAttributionMatrix:
         model = linear([[1.0, 0.0], [0.0, 1.0]])
         data = dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1], 2)
         matrix = class_attribution_matrix(model, data)
-        assert np.allclose(matrix.C, np.eye(2), atol=1e-15)
+        assert np.allclose(matrix, np.eye(2), atol=1e-15)
         assert cas(matrix) == 0.0
 
     def test_fully_shared_features_give_unit_similarity(self):
         model = linear([[1.0, 1.0], [1.0, 1.0]])
         data = dataset([[1.0, 1.0], [1.0, 1.0]], [0, 1], 2)
         matrix = class_attribution_matrix(model, data)
-        assert np.allclose(matrix.C, np.ones((2, 2)), atol=1e-15)
+        assert np.allclose(matrix, np.ones((2, 2)), atol=1e-15)
         assert cas(matrix) == pytest.approx(2.0, abs=1e-15)
 
     def test_frozen_two_class_cosine(self):
@@ -71,29 +71,22 @@ class TestClassAttributionMatrix:
         model = linear([[1.0, 0.0], [1.0, 1.0]])
         data = dataset([[1.0, 1.0], [1.0, 1.0]], [0, 1], 2)
         matrix = class_attribution_matrix(model, data)
-        assert matrix.C[0, 1] == pytest.approx(INV_SQRT2, abs=1e-15)
-        assert matrix.C[1, 0] == matrix.C[0, 1]
+        assert matrix[0, 1] == pytest.approx(INV_SQRT2, abs=1e-15)
+        assert matrix[1, 0] == matrix[0, 1]
 
     def test_zero_mean_class_gets_zero_diagonal(self):
         model = linear([[0.0, 0.0], [0.0, 1.0]])
         data = dataset([[1.0, 1.0], [1.0, 1.0]], [0, 1], 2)
         matrix = class_attribution_matrix(model, data)
-        assert matrix.C[0, 0] == 0.0
-        assert matrix.C[1, 1] == 1.0
-        assert matrix.C[0, 1] == 0.0  # zero-vector cosine convention
+        assert matrix[0, 0] == 0.0
+        assert matrix[1, 1] == 1.0
+        assert matrix[0, 1] == 0.0  # zero-vector cosine convention
 
     def test_symmetric_and_bounded(self):
         model, data = random_setup(seed=3)
         matrix = class_attribution_matrix(model, data)
-        assert np.array_equal(matrix.C, matrix.C.T)
-        assert matrix.C.max() <= 1.0 and matrix.C.min() >= -1.0
-
-    def test_sample_counts_and_vectors_shape(self):
-        model, data = random_setup(seed=4, k=3, n=12)
-        matrix = class_attribution_matrix(model, data)
-        assert np.array_equal(matrix.sample_counts, [4, 4, 4])
-        assert matrix.per_class_vectors.shape == (3, model.feature_dim)
-        assert matrix.class_count == 3
+        assert np.array_equal(matrix, matrix.T)
+        assert matrix.max() <= 1.0 and matrix.min() >= -1.0
 
     def test_missing_class_raises(self):
         model = linear([[1.0, 0.0], [0.0, 1.0]])
@@ -104,29 +97,21 @@ class TestClassAttributionMatrix:
     def test_adversarial_inputs_shape_checked(self):
         model, data = random_setup(seed=5)
         with pytest.raises(ValueError, match="shape"):
-            class_attribution_matrix(model, data,
-                                     adversarial_inputs=np.zeros((1, 5)))
+            class_attribution_matrix(model, data, np.zeros((1, 5)))
 
     def test_attack_changes_the_matrix(self):
         model, data = random_setup(seed=6)
         clean = class_attribution_matrix(model, data)
-        attacked = class_attribution_matrix(
-            model, data, attack=AttackConfig(epsilon=0.5))
-        assert not np.allclose(clean.C, attacked.C)
+        points = pgd(model, data.inputs, data.labels, AttackConfig(epsilon=0.5))
+        attacked = class_attribution_matrix(model, data, points)
+        assert not np.allclose(clean, attacked)
 
     def test_zero_epsilon_attack_equals_clean(self):
         model, data = random_setup(seed=7)
         clean = class_attribution_matrix(model, data)
-        zero = class_attribution_matrix(model, data,
-                                        attack=AttackConfig(epsilon=0.0))
-        assert np.array_equal(clean.C, zero.C)
-
-    def test_provenance_records_attack_and_variant(self):
-        model, data = random_setup(seed=8)
-        cfg = AttackConfig(epsilon=0.25)
-        matrix = class_attribution_matrix(model, data, attack=cfg)
-        assert matrix.provenance["attack"]["epsilon"] == 0.25
-        assert matrix.provenance["variant"] == "class-mean"
+        points = pgd(model, data.inputs, data.labels, AttackConfig(epsilon=0.0))
+        zero = class_attribution_matrix(model, data, points)
+        assert np.array_equal(clean, zero)
 
 
 class TestEquivariances:
@@ -146,8 +131,8 @@ class TestEquivariances:
     def test_class_matrix_is_permutation_equivariant(self):
         perm = [2, 0, 1]
         model, data, pmodel, pdata = self.permuted_setup(perm)
-        base = class_attribution_matrix(model, data).C
-        moved = class_attribution_matrix(pmodel, pdata).C
+        base = class_attribution_matrix(model, data)
+        moved = class_attribution_matrix(pmodel, pdata)
         for i in range(3):
             for j in range(3):
                 assert moved[perm[i], perm[j]] == pytest.approx(base[i, j],
@@ -160,15 +145,15 @@ class TestEquivariances:
         moved, _ = instance_cas_matrix(pmodel, pdata)
         for i in range(3):
             for j in range(3):
-                assert moved.C[perm[i], perm[j]] == pytest.approx(base.C[i, j],
-                                                                  abs=1e-12)
+                assert moved[perm[i], perm[j]] == pytest.approx(base[i, j],
+                                                                abs=1e-12)
 
     def test_scaling_a_head_row_leaves_cosines_unchanged(self):
         model, data = random_setup(seed=10, k=3)
-        base = class_attribution_matrix(model, data).C
+        base = class_attribution_matrix(model, data)
         scaled_model = model.copy()
         scaled_model.head.weights[1] *= 7.5
-        scaled = class_attribution_matrix(scaled_model, data).C
+        scaled = class_attribution_matrix(scaled_model, data)
         assert np.allclose(scaled, base, atol=1e-12)
 
 
@@ -176,11 +161,6 @@ class TestCas:
     def test_clips_negative_entries(self):
         c = np.array([[1.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 1.0]])
         assert cas(c) == pytest.approx(1.4, abs=1e-15)
-
-    def test_accepts_matrix_object(self):
-        matrix = AttributionMatrix(np.eye(3), np.zeros((3, 2)),
-                                   np.ones(3, dtype=np.int64))
-        assert cas(matrix) == 0.0
 
     def test_upper_bound_is_ordered_pair_count(self):
         assert cas(np.ones((4, 4))) == pytest.approx(12.0, abs=1e-15)
@@ -195,8 +175,8 @@ class TestInstanceCas:
         model = linear([[1.0, 0.0], [1.0, 1.0]])
         data = dataset([[1.0, 1.0], [1.0, 1.0]], [0, 1], 2)
         matrix, score = instance_cas_matrix(model, data)
-        assert matrix.C[0, 1] == pytest.approx(INV_SQRT2, abs=1e-15)
-        assert matrix.C[1, 0] == pytest.approx(INV_SQRT2, abs=1e-15)
+        assert matrix[0, 1] == pytest.approx(INV_SQRT2, abs=1e-15)
+        assert matrix[1, 0] == pytest.approx(INV_SQRT2, abs=1e-15)
         assert score == pytest.approx(2.0 * INV_SQRT2, abs=1e-14)
 
     def test_duplicating_a_counterpart_sample_changes_nothing(self):
@@ -205,7 +185,7 @@ class TestInstanceCas:
         extended = dataset([[1.0, 1.0], [1.0, 2.0], [1.0, 2.0]], [0, 1, 1], 2)
         a, _ = instance_cas_matrix(model, base)
         b, _ = instance_cas_matrix(model, extended)
-        assert b.C[0, 1] == pytest.approx(a.C[0, 1], abs=1e-15)
+        assert b[0, 1] == pytest.approx(a[0, 1], abs=1e-15)
 
     def test_matches_brute_force_on_toy_problem(self):
         model, data = random_setup(seed=11, k=3, dim=4, n=15)
@@ -226,19 +206,14 @@ class TestInstanceCas:
                         best = max(best, float(va @ vb) / denom)
                     total += best
                 expected[i, j] = total / len(rows_i)
-        assert np.allclose(matrix.C, expected, atol=1e-12)
+        assert np.allclose(matrix, expected, atol=1e-12)
         assert score == pytest.approx(cas(expected), abs=1e-12)
 
     def test_matrix_is_generally_asymmetric(self):
         model = linear([[1.0, 0.0], [1.0, 1.0]])
         data = dataset([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 0, 1], 2)
         matrix, _ = instance_cas_matrix(model, data)
-        assert matrix.C[0, 1] != matrix.C[1, 0]
-
-    def test_provenance_variant(self):
-        model, data = random_setup(seed=12)
-        matrix, _ = instance_cas_matrix(model, data)
-        assert matrix.provenance["variant"] == "instance-max"
+        assert matrix[0, 1] != matrix[1, 0]
 
 
 class TestMatrixDiff:
@@ -248,13 +223,6 @@ class TestMatrixDiff:
         diff, gap = matrix_diff(best, last)
         assert np.allclose(diff, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
         assert gap == pytest.approx(1.0, abs=1e-15)
-
-    def test_accepts_matrix_objects(self):
-        a = AttributionMatrix(np.eye(2), np.zeros((2, 1)), np.ones(2, dtype=int))
-        b = AttributionMatrix(np.eye(2), np.zeros((2, 1)), np.ones(2, dtype=int))
-        diff, gap = matrix_diff(a, b)
-        assert np.allclose(diff, 0.0)
-        assert gap == 0.0
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shapes differ"):
@@ -268,7 +236,7 @@ class TestSaveLoadMatrix:
         path = str(tmp_path / "matrix.txt")
         save_matrix(matrix, path, labels=[5, 6, 7])
         loaded, labels = load_matrix(path)
-        assert np.array_equal(loaded, matrix.C)
+        assert np.array_equal(loaded, matrix)
         assert labels == [5, 6, 7]
 
     def test_default_labels(self, tmp_path):

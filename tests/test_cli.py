@@ -16,7 +16,7 @@ from crossfeat.cli import (ConfigError, cmd_attribution, cmd_eval,
 from crossfeat.data import PlantedSpec, generate_planted, load_tabular
 from crossfeat.model import Classifier, load_checkpoint, save_checkpoint
 from crossfeat.numerics import RngStream
-from crossfeat.training import evaluate
+from crossfeat.training import evaluate, save_records, train
 
 
 def base_config(**overrides):
@@ -148,6 +148,21 @@ class TestTrainCmd:
         assert (tmp_path / "a" / "summary.json").read_bytes() == \
             (tmp_path / "b" / "summary.json").read_bytes()
 
+    def test_records_file_has_the_bytes_save_records_writes(self, tmp_path,
+                                                            monkeypatch):
+        # train() writes records.jsonl, then Report.write overwrites it.
+        runs = []
+
+        def recording_train(*args):
+            runs.append(train(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        cmd_train(base_config(), out_dir=str(tmp_path / "run"))
+        save_records(runs[0], str(tmp_path / "direct.jsonl"))
+        assert (tmp_path / "run" / "records.jsonl").read_bytes() == \
+            (tmp_path / "direct.jsonl").read_bytes()
+
     def test_seed_override_changes_run(self, tmp_path):
         base = cmd_train(base_config(), seed=1)
         other = cmd_train(base_config(), seed=2)
@@ -252,8 +267,8 @@ class TestAttributionCmd:
         model, _, _ = load_checkpoint(f"{run_dir}/best.ckpt")
         _, test_set = generate_planted(PlantedSpec(**config["data"]["planted"]))
         assert not np.array_equal(points, test_set.inputs)
-        matrix = class_attribution_matrix(model, test_set, adversarial_inputs=points)
-        _, icas = instance_cas_matrix(model, test_set, adversarial_inputs=points)
+        matrix = class_attribution_matrix(model, test_set, points)
+        _, icas = instance_cas_matrix(model, test_set, points)
         assert report.summary["robust_acc"] == metrics["robust_acc"]
         assert report.summary["cas"] == cas(matrix)
         assert report.summary["icas"] == icas

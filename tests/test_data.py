@@ -62,6 +62,10 @@ class TestDataset:
             Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), 2)
         with pytest.raises(ValueError, match="lie in"):
             Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), 2)
+        with pytest.raises(ValueError, match="whole numbers"):
+            Dataset(np.zeros((3, 2)), np.array([0.7, 1.9, 2.5]), 3)
+        assert Dataset(np.zeros((3, 2)), np.array([0.0, 1.0, 2.0]), 3).labels.dtype \
+            == np.int64
 
     def test_class_indices(self):
         ds = Dataset(np.zeros((4, 1)), np.array([1, 0, 1, 0]), 2)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossfeat.numerics import (RngStream, as_array, cosine_similarity,
-                                gaussian_sample, std_normal_cdf, unit_rows)
+                                std_normal_cdf, unit_rows)
 
 # Reference values computed with mpmath.ncdf at 20 significant digits.
 PHI_TABLE = {
@@ -57,17 +57,6 @@ class TestRngStream:
         a = RngStream(13).split(4).split(2).generator.normal(size=8)
         b = RngStream(13).split(4).split(2).generator.normal(size=8)
         assert np.array_equal(a, b)
-
-    def test_gaussian_sample_shapes(self):
-        rng = RngStream(0)
-        assert gaussian_sample(rng, 0.0, 1.0, 5).shape == (5,)
-        assert gaussian_sample(RngStream(0), 2.0, 0.5, (3, 4)).shape == (3, 4)
-
-    def test_gaussian_sample_moments(self):
-        # 4-sigma standard-error bound on the mean of 1e6 draws.
-        draws = gaussian_sample(RngStream(123), 2.0, 0.5, 1_000_000)
-        assert abs(draws.mean() - 2.0) < 4 * 0.5 / 1000.0
-        assert abs(draws.std() - 0.5) < 0.002
 
 
 class TestStdNormalCdf:

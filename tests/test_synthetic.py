@@ -13,12 +13,12 @@ from crossfeat.synthetic import (CheckRecord, GroupVerification,
                                  LinearHypothesis, SyntheticParams,
                                  adversarial_batch, eps0, eps1,
                                  frozen_linear_coefficients, linear_classifier,
-                                 linear_logits, ls_loss_closed, ls_loss_mc,
+                                 linear_logits, ls_loss_closed,
                                  ls_margin_samples, ls_optimal_weights, margin_loss,
                                  max_gauss_mean_mc, optimal_weights,
                                  pair_margin_prob, projected_gd_oracle,
                                  replicate_groups, robust_loss_closed,
-                                 robust_loss_mc, robust_margin_samples,
+                                 robust_margin_samples,
                                  run_verification, sample, sample_mixed,
                                  worst_case_delta)
 from crossfeat.model import forward
@@ -182,14 +182,6 @@ class TestRobustLoss:
         se = margins.std(ddof=1) / math.sqrt(len(margins))
         assert abs(margins.mean() + reg - robust_loss_closed(p, h)) <= 3.0 * se
 
-    def test_mc_helper_matches_sample_mean(self):
-        p = SyntheticParams(eps=0.15, **DEFAULTS)
-        h = LinearHypothesis(0.9, 0.4)
-        direct = robust_loss_mc(p, h, 10_000, RngStream(9, stream_id=70))
-        margins = robust_margin_samples(p, h, 10_000, RngStream(9, stream_id=70))
-        reg = 0.5 * p.lam * (h.w1 ** 2 + h.w2 ** 2)
-        assert direct == pytest.approx(margins.mean() + reg, abs=1e-12)
-
     @given(w1=st.floats(0.0, 2.0), w2=st.floats(0.0, 2.0))
     @settings(max_examples=25, deadline=None)
     def test_zero_beta_smoothed_loss_reduces_to_robust(self, w1, w2):
@@ -205,8 +197,6 @@ class TestRobustLoss:
         reg = 0.5 * p.lam * (h.w1 ** 2 + h.w2 ** 2)
         se = samples.std(ddof=1) / math.sqrt(len(samples))
         assert abs(samples.mean() + reg - ls_loss_closed(p, h)) <= 3.0 * se
-        helper = ls_loss_mc(p, h, 10_000, RngStream(11, stream_id=70))
-        assert math.isfinite(helper)
 
 
 class TestOptimalWeights:
@@ -242,12 +232,6 @@ class TestOptimalWeights:
     def test_smoothed_collapse_radius_exceeds_plain(self, beta):
         p = SyntheticParams(beta=beta, **DEFAULTS)
         assert eps1(p) > eps0(p)
-
-    def test_eps1_clamp(self):
-        # Small sigma pushes the raw threshold beyond the admissible mu/2.
-        p = SyntheticParams(mu=1.0, sigma=0.1, lam=1.0, beta=0.3)
-        assert eps1(p) > 0.5
-        assert eps1(p, clamp=True) == pytest.approx(0.5, abs=1e-15)
 
     def test_minimizer_beats_neighbors(self):
         p = SyntheticParams(eps=0.1, **DEFAULTS)
@@ -346,21 +330,11 @@ class TestReplicateGroups:
         assert isinstance(gv, GroupVerification)
         scale = 1.0  # mu / lam
         assert gv.max_abs_err <= 0.05 * scale
-        assert gv.max_rel_err(scale) == pytest.approx(gv.max_abs_err)
         # Group below the collapse radius keeps w2; group above collapses.
         assert gv.joint_oracle[0].w2 > 0.05 * scale
         assert gv.joint_oracle[1].w2 < 0.02 * scale
 
-    def test_single_params_replication(self):
-        gv = replicate_groups(SyntheticParams(eps=0.1, **DEFAULTS), k_groups=3,
-                              n_samples=20_000, rng=RngStream(17, stream_id=70),
-                              steps=2_000)
-        assert len(gv.joint_oracle) == 3
-        assert len(gv.per_group_closed) == 3
-
     def test_argument_validation(self):
-        with pytest.raises(ValueError, match="k_groups"):
-            replicate_groups(SyntheticParams(**DEFAULTS))
         with pytest.raises(ValueError, match="at least one"):
             replicate_groups([])
 

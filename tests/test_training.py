@@ -1,18 +1,21 @@
 """Tests for the training loop, evaluation semantics, schedules, records,
 and the fast-attack collapse detector."""
 
+import json
+
 import numpy as np
 import pytest
 
 import crossfeat.model
 from crossfeat.attack import AttackConfig
+from crossfeat.attribution import cas, class_attribution_matrix
 from crossfeat.data import Dataset, PlantedSpec, generate_planted
 from crossfeat.model import (Affine, Classifier, forward, load_checkpoint,
                              save_checkpoint)
 from crossfeat.numerics import RngStream
 from crossfeat.training import (EpochRow, RunRecord, TrainConfig,
                                 TrainingDiverged, detect_collapse, evaluate,
-                                load_records, lr_at, save_records, train)
+                                lr_at, save_records, train)
 
 
 def tiny_data():
@@ -70,9 +73,20 @@ class TestTrainConfig:
         assert cfg.resolved_eval_attack() == override
 
     def test_clean_attribution_default_tracks_mode(self):
-        assert tiny_cfg(mode="standard").clean_attribution() is True
-        assert tiny_cfg(mode="at").clean_attribution() is False
-        assert tiny_cfg(mode="at", attribution_on_clean=True).clean_attribution() is True
+        # Standard mode attributes the clean test points; the adversarial
+        # modes attribute the points of their evaluation attack.
+        train_set, test_set = tiny_data()
+        for mode in ("standard", "at"):
+            cfg = tiny_cfg(mode=mode, epochs=1)
+            record = train(tiny_model(), train_set, test_set, cfg)
+            model = record.last_model
+            _, points = evaluate(model, test_set, cfg.resolved_eval_attack(),
+                                 return_adversarial=True)
+            clean_cas = cas(class_attribution_matrix(model, test_set))
+            attacked_cas = cas(class_attribution_matrix(model, test_set, points))
+            assert clean_cas != attacked_cas
+            expected = clean_cas if mode == "standard" else attacked_cas
+            assert record.rows[-1].cas == expected
 
 
 class TestLrSchedule:
@@ -270,9 +284,9 @@ class TestTrainLoop:
                               forward(record.best_model, x))
         assert np.array_equal(forward(last_model, x),
                               forward(record.last_model, x))
-        reloaded = load_records(f"{out}/records.jsonl")
-        assert [r.as_dict() for r in reloaded] == \
-            [r.as_dict() for r in record.rows]
+        with open(f"{out}/records.jsonl", encoding="utf-8") as fh:
+            reloaded = [json.loads(line) for line in fh]
+        assert reloaded == [r.as_dict() for r in record.rows]
 
     def test_divergence_guard_raises(self):
         train_set, test_set = tiny_data()
@@ -294,16 +308,9 @@ class TestRecordsIO:
                            last_model=tiny_model())
         path = str(tmp_path / "records.jsonl")
         save_records(record, path)
-        loaded = load_records(path)
-        assert [r.as_dict() for r in loaded] == [r.as_dict() for r in rows]
-
-    def test_bad_line_reports_position(self, tmp_path):
-        path = tmp_path / "records.jsonl"
-        path.write_text('{"epoch": 0, "train_robust_loss": 0.1, '
-                        '"train_robust_acc": 0.9, "test_clean_acc": 0.9, '
-                        '"test_robust_acc": 0.5, "cas": 0.0}\nnot json\n')
-        with pytest.raises(ValueError, match="records.jsonl:2"):
-            load_records(str(path))
+        with open(path, encoding="utf-8") as fh:
+            loaded = [EpochRow(**json.loads(line)) for line in fh]
+        assert loaded == rows
 
 
 class TestDetectCollapse:
