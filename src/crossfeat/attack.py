@@ -25,8 +25,7 @@ class AttackConfig:
     """Perturbation budget and ascent schedule for one attack.
 
     ``step_size=None`` picks the conventional default for the norm:
-    epsilon/4 for linf and epsilon/8 for l2 (10-step training attack), or
-    epsilon for the single-step fast attack.
+    epsilon/4 for linf and epsilon/8 for l2 (10-step training attack).
     """
 
     norm: str = "linf"
@@ -50,11 +49,9 @@ class AttackConfig:
             if not lo < hi:
                 raise ValueError(f"input_bounds must satisfy lo < hi, got {self.input_bounds}")
 
-    def resolved_step(self, fast: bool = False) -> float:
+    def resolved_step(self) -> float:
         if self.step_size is not None:
             return self.step_size
-        if fast:
-            return self.epsilon
         return self.epsilon / 4.0 if self.norm == "linf" else self.epsilon / 8.0
 
 
@@ -117,8 +114,6 @@ def pgd(
     y,
     cfg: AttackConfig,
     rng: RngStream | None = None,
-    steps: int | None = None,
-    fast: bool = False,
 ) -> np.ndarray:
     """Multi-step projected gradient ascent on cross-entropy at label ``y``.
 
@@ -143,12 +138,11 @@ def pgd(
         start = _project(arr, _random_start(arr, cfg, rng), cfg)
     else:
         start = arr
-    alpha = cfg.resolved_step(fast=fast)
-    n_steps = cfg.steps if steps is None else steps
+    alpha = cfg.resolved_step()
     out = np.empty_like(arr)
     for rows in _row_blocks(len(arr)):
         base, current, y_block = arr[rows], start[rows], labels[rows]
-        for _ in range(n_steps):
+        for _ in range(cfg.steps):
             bundle = backward(model, current, y_block, CrossEntropy(),
                               include_params=False)
             step = alpha * _ascent_direction(bundle.inputs, cfg.norm)
@@ -162,4 +156,5 @@ def pgd(
 def fgsm(model: Classifier, x, y, cfg: AttackConfig, rng: RngStream | None = None) -> np.ndarray:
     """Single ascent step from a random point in the ball (step size alpha = eps
     unless the config overrides it)."""
-    return pgd(model, x, y, replace(cfg, random_start=True), rng, steps=1, fast=True)
+    step_size = cfg.step_size or cfg.epsilon or None
+    return pgd(model, x, y, replace(cfg, random_start=True, steps=1, step_size=step_size), rng)

@@ -121,17 +121,14 @@ def matrix_diff(best: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def save_matrix(matrix: np.ndarray, path: str,
-                labels: list[int] | None = None) -> None:
-    """Write a matrix as text: class count, class labels, then K rows at full
-    precision."""
+def save_matrix(matrix: np.ndarray, path: str) -> None:
+    """Write a matrix as text: class count, class labels 0..K-1, then K rows
+    at full precision."""
     c = as_array(matrix)
     k = c.shape[0]
-    if labels is None:
-        labels = list(range(k))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{k}\n")
-        fh.write(" ".join(str(int(v)) for v in labels) + "\n")
+        fh.write(" ".join(str(v) for v in range(k)) + "\n")
         for row in c:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 

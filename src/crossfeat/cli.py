@@ -21,7 +21,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .attack import AttackConfig
@@ -49,7 +49,6 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "out_dir": None,
     "seed": None,
-    "format": None,
     "synthetic": {"mu": None, "sigma": None, "lam": None, "mc_samples": None,
                   "oracle_steps": None, "seed": None},
     "data": {
@@ -248,7 +247,7 @@ def cmd_synth_verify(config: dict, out_dir: str | None = None,
     report = Report(
         command="synth-verify",
         metadata=_base_metadata("synth-verify", config, run_seed),
-        records=[c.as_dict() for c in checks],
+        records=[asdict(c) for c in checks],
         summary={"checks": len(checks), **counts,
                  "failed_names": sorted({c.name for c in failures})},
         passed=not failures,
@@ -294,7 +293,7 @@ def cmd_train(config: dict, out_dir: str | None = None,
     run_seed = seed if seed is not None else int(config.get("seed", 0))
     record, cfg = _run_training(config, run_seed, out_dir,
                                 _datasets_from(config, None))
-    rows = [row.as_dict() for row in record.rows]
+    rows = [asdict(row) for row in record.rows]
     best = record.best_row()
     last = record.last_row()
     collapse = detect_collapse(record.rows)

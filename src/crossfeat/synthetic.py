@@ -12,26 +12,28 @@ The hypothesis class is linear with two tied nonnegative weights:
 
     f_w(x)_i = w1 * x_{E,i} + w2 * (x_{C,j1} + x_{C,j2}),   {j1, j2} = {1,2,3} \\ {i}
 
-Training objective (margin form, l-inf adversary of radius eps, ridge
-penalty lam/2 * ||w||^2):
+Training objective (label smoothing beta, l-inf adversary of radius eps,
+ridge penalty lam/2 * ||w||^2):
 
-    L(w) = E_i E_x [ max_{|delta|_inf <= eps} ( max_{j != i} f(x+delta)_j
-                                                - f(x+delta)_i ) ]
+    L(w) = E_i E_x [ (1 - beta) * max_{|delta|_inf <= eps} ( max_{j != i} f(x+delta)_j
+                                                             - f(x+delta)_i )
+                     - beta/2 * sum_{j != i} f(x+delta)_j ]
            + lam/2 * (w1^2 + w2^2)
 
-For w >= 0 the inner maximum is attained at an explicit corner of the cube
-(:func:`worst_case_delta`), which makes the objective linear in w with
-closed-form coefficients.  The label-smoothed variant subtracts
-beta/2 * sum_{j != i} f(x+delta)_j at that same delta.  Closed-form minimizers,
-the thresholds where the cross-class weight collapses to zero, and pairwise
-margin probabilities all follow; each has an MC oracle here that estimates
-the same quantity from raw samples without using the formula under test.
+with the smoothing term taken at the margin-maximizing delta.  For w >= 0
+that delta is an explicit corner of the cube (:func:`worst_case_delta`),
+which makes the objective linear in w with closed-form coefficients.  One
+family of formulas in beta follows: the loss, its minimizer, the radius
+where the cross-class weight collapses to zero, and pairwise margin
+probabilities.  beta = 0 is one-hot training; every formula then reduces to
+its one-hot form.  Each has an MC oracle here that estimates the same
+quantity from raw samples without using the formula under test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,14 +47,11 @@ __all__ = [
     "SyntheticBatch",
     "SyntheticParams",
     "adversarial_batch",
-    "eps0",
-    "eps1",
+    "collapse_radius",
     "frozen_linear_coefficients",
     "linear_classifier",
     "linear_logits",
-    "ls_loss_closed",
     "ls_margin_samples",
-    "ls_optimal_weights",
     "margin_loss",
     "max_gauss_mean_mc",
     "optimal_weights",
@@ -243,31 +242,6 @@ def robust_margin_samples(params: SyntheticParams, hypothesis: LinearHypothesis,
     return margin_loss(hypothesis, adv.x_e, adv.x_c, adv.labels)
 
 
-def robust_loss_closed(params: SyntheticParams, hypothesis: LinearHypothesis) -> float:
-    """Closed form: (2eps - mu) w1 + (2eps - mu + sigma/sqrt(pi)) w2 + lam/2 ||w||^2."""
-    c1 = 2.0 * params.eps - params.mu
-    c2 = 2.0 * params.eps - params.mu + params.sigma_term
-    reg = 0.5 * params.lam * (hypothesis.w1 ** 2 + hypothesis.w2 ** 2)
-    return c1 * hypothesis.w1 + c2 * hypothesis.w2 + reg
-
-
-def optimal_weights(params: SyntheticParams) -> LinearHypothesis:
-    """Minimizer of the closed-form robust loss over w >= 0."""
-    w1 = max(0.0, (params.mu - 2.0 * params.eps) / params.lam)
-    w2 = max(0.0, (params.mu - 2.0 * params.eps - params.sigma_term) / params.lam)
-    return LinearHypothesis(w1, w2)
-
-
-def eps0(params: SyntheticParams) -> float:
-    """Perturbation radius above which the optimal cross-class weight is zero."""
-    return 0.5 * (params.mu - params.sigma_term)
-
-
-# ---------------------------------------------------------------------------
-# Label-smoothed loss
-# ---------------------------------------------------------------------------
-
-
 def ls_margin_samples(params: SyntheticParams, hypothesis: LinearHypothesis,
                       n_samples: int, rng: RngStream) -> np.ndarray:
     """Per-sample smoothed objective: (1-beta) * worst-case margin minus
@@ -284,38 +258,41 @@ def ls_margin_samples(params: SyntheticParams, hypothesis: LinearHypothesis,
     return (1.0 - params.beta) * margins - 0.5 * params.beta * off_sum
 
 
-def ls_loss_closed(params: SyntheticParams, hypothesis: LinearHypothesis) -> float:
-    """Closed form of the label-smoothed objective.
+def robust_loss_closed(params: SyntheticParams, hypothesis: LinearHypothesis) -> float:
+    """Closed form of the smoothed robust objective.
 
-    Linear coefficients (derived by expanding the smoothed objective at the
-    worst-case delta; the off-class logits there have means 2*eps*w1 + ... ):
+    Linear coefficients (derived by expanding the objective at the
+    worst-case delta; the off-class logits there have means 2*eps*w1 + ...):
 
         c1 = (1 - beta) * (2 eps - mu) - beta * eps
-        c2 = (1 - beta) * (2 eps + sigma/sqrt(pi)) - mu
+        c2 = (2 eps - mu + sigma/sqrt(pi)) - beta * (2 eps + sigma/sqrt(pi))
 
-    beta = 0 reduces both to the plain robust loss coefficients.
+    The terms are ordered so that at beta = 0 this is the one-hot robust loss
+    (2eps - mu) w1 + (2eps - mu + sigma/sqrt(pi)) w2 + lam/2 ||w||^2, bit for bit.
     """
     beta = params.beta
     c1 = (1.0 - beta) * (2.0 * params.eps - params.mu) - beta * params.eps
-    c2 = (1.0 - beta) * (2.0 * params.eps + params.sigma_term) - params.mu
+    c2 = ((2.0 * params.eps - params.mu + params.sigma_term)
+          - beta * (2.0 * params.eps + params.sigma_term))
     reg = 0.5 * params.lam * (hypothesis.w1 ** 2 + hypothesis.w2 ** 2)
     return c1 * hypothesis.w1 + c2 * hypothesis.w2 + reg
 
 
-def ls_optimal_weights(params: SyntheticParams) -> LinearHypothesis:
-    """Minimizer of the closed-form label-smoothed loss over w >= 0."""
+def optimal_weights(params: SyntheticParams) -> LinearHypothesis:
+    """Minimizer of :func:`robust_loss_closed` over w >= 0, max(0, -c / lam)."""
     beta = params.beta
     w1 = max(0.0, ((1.0 - beta) * (params.mu - 2.0 * params.eps) + beta * params.eps)
              / params.lam)
-    w2 = max(0.0, (params.mu - (1.0 - beta) * (2.0 * params.eps + params.sigma_term))
-             / params.lam)
+    w2 = max(0.0, (params.mu - 2.0 * params.eps - params.sigma_term
+                   + beta * (2.0 * params.eps + params.sigma_term)) / params.lam)
     return LinearHypothesis(w1, w2)
 
 
-def eps1(params: SyntheticParams) -> float:
-    """Radius where the smoothed objective's cross-class weight collapses.
+def collapse_radius(params: SyntheticParams) -> float:
+    """Perturbation radius above which the optimal cross-class weight is zero.
 
-    Formula: (mu / (1 - beta) - sigma/sqrt(pi)) / 2.  For large beta it can
+    Formula: (mu / (1 - beta) - sigma/sqrt(pi)) / 2, so smoothing moves the
+    one-hot radius (mu - sigma/sqrt(pi)) / 2 outward.  For large beta it can
     exceed mu/2, the edge of the admissible radius range: the cross-class
     weight then stays positive throughout that range.
     """
@@ -328,7 +305,7 @@ def eps1(params: SyntheticParams) -> float:
 
 
 def frozen_linear_coefficients(params: SyntheticParams, n_samples: int,
-                               rng: RngStream, beta: float | None = None) -> np.ndarray:
+                               rng: RngStream) -> np.ndarray:
     """Per-sample (c1, c2) with objective_s = c1 * w1 + c2 * w2, shape (n, 2).
 
     At the analytic worst-case delta every off-class logit carries the same
@@ -337,7 +314,7 @@ def frozen_linear_coefficients(params: SyntheticParams, n_samples: int,
     smoothed objective.  This lets a frozen sample set define a deterministic
     convex problem for :func:`projected_gd_oracle`.
     """
-    use_beta = params.beta if beta is None else beta
+    beta = params.beta
     batch = sample_mixed(params, n_samples, rng)
     adv = adversarial_batch(params, batch)
     n = len(adv)
@@ -352,12 +329,12 @@ def frozen_linear_coefficients(params: SyntheticParams, n_samples: int,
     # shared block contributes x_C,own - min over the other shared coords.
     c1 = params.eps - own_e
     c2 = own_c - min_other
-    if use_beta:
+    if beta:
         # Off-class logits sum to 2*eps*w1 + (sum(x_C) + x_C,own)*w2: coordinate
         # j != own appears in exactly one off-class logit, own in both.
         off_w2 = adv.x_c.sum(axis=1) + own_c
-        c1 = (1.0 - use_beta) * c1 - use_beta * params.eps
-        c2 = (1.0 - use_beta) * c2 - 0.5 * use_beta * off_w2
+        c1 = (1.0 - beta) * c1 - beta * params.eps
+        c2 = (1.0 - beta) * c2 - 0.5 * beta * off_w2
     return np.column_stack([c1, c2])
 
 
@@ -443,10 +420,7 @@ def max_gauss_mean_mc(n_samples: int, rng: RngStream) -> tuple[float, float]:
 class GroupVerification:
     """Result of checking that the replicated-group objective decouples."""
 
-    per_group_closed: list[LinearHypothesis]
     joint_oracle: list[LinearHypothesis]
-    closed_loss: float
-    oracle_loss: float
     max_abs_err: float
 
 
@@ -457,37 +431,25 @@ def replicate_groups(params_list: list[SyntheticParams], n_samples: int = 200_00
 
     The replicated model concatenates K independent copies of the feature
     block, each with its own (w1^k, w2^k) and its own parameters; the
-    extended objective is the sum of per-group regularized margin losses, so
-    its minimizer should be the per-group closed-form optimum.  The check
-    runs joint projected GD over all 2K weights on frozen MC coefficient
-    samples and reports the largest deviation from the per-group formulas.
+    extended objective is the sum of per-group regularized margin losses.
+    Its gradient in one group's weights involves only that group, so
+    projected GD over all 2K weights, with each group's own step size, is
+    :func:`projected_gd_oracle` run on each group's frozen MC coefficients.  The check reports the largest
+    deviation of those weights from the per-group closed-form optimum.
     """
     params_list = list(params_list)
     if not params_list:
         raise ValueError("need at least one group")
     if rng is None:
         rng = RngStream(0)
-
-    closed = [optimal_weights(p) for p in params_list]
-    coeff = [
-        frozen_linear_coefficients(p, n_samples, rng.split(k), beta=0.0)
+    joint = [
+        projected_gd_oracle(frozen_linear_coefficients(p, n_samples, rng.split(k)),
+                            p.lam, steps=steps)
         for k, p in enumerate(params_list)
     ]
-    mean_c = np.array([c.mean(axis=0) for c in coeff])  # (K, 2)
-    lams = np.array([p.lam for p in params_list])
-    eta = 0.01 / lams.max()
-    w = np.zeros((len(params_list), 2))
-    for _ in range(steps):
-        w = np.maximum(0.0, w - eta * (mean_c + lams[:, None] * w))
-    joint = [LinearHypothesis(float(a), float(b)) for a, b in w]
-
-    closed_vec = np.array([[h.w1, h.w2] for h in closed])
-    closed_loss = float(sum(robust_loss_closed(p, h) for p, h in zip(params_list, closed)))
-    oracle_loss = float(
-        (mean_c * w).sum() + 0.5 * (lams[:, None] * w ** 2).sum()
-    )
-    max_abs = float(np.abs(closed_vec - w).max())
-    return GroupVerification(closed, joint, closed_loss, oracle_loss, max_abs)
+    closed = [optimal_weights(p) for p in params_list]
+    max_abs = max(max(abs(h.w1 - c.w1), abs(h.w2 - c.w2)) for h, c in zip(joint, closed))
+    return GroupVerification(joint, max_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +468,6 @@ class CheckRecord:
     tolerance: float | None
     status: str  # pass | fail | boundary | info
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "expected": self.expected,
-            "observed": self.observed,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "detail": self.detail,
-        }
 
 
 def _check(name, params, expected, observed, tolerance, detail="") -> CheckRecord:
@@ -540,7 +491,7 @@ def run_verification(base: SyntheticParams | None = None, seed: int = 0,
     root = RngStream(seed)
     records: list[CheckRecord] = []
     base_kwargs = dict(mu=base.mu, sigma=base.sigma, lam=base.lam)
-    e0 = eps0(base)
+    e0 = collapse_radius(SyntheticParams(**base_kwargs))
 
     # E[max of two standard normals] = 1/sqrt(pi).
     value, se = max_gauss_mean_mc(1_000_000, root.split(1))
@@ -548,7 +499,7 @@ def run_verification(base: SyntheticParams | None = None, seed: int = 0,
         "max_gauss_mean", {"n": 1_000_000}, 1.0 / math.sqrt(math.pi), value,
         3.0 * se, "MC mean of max(X, Y) for X, Y iid N(0,1) vs 1/sqrt(pi)"))
 
-    # Cross-class weight collapse threshold: sign(w2*) == sign(eps0 - eps).
+    # Cross-class weight collapse threshold: sign(w2*) == sign(radius - eps).
     eps_grid = [(k + 1) / 10.0 * (base.mu / 2.0) for k in range(9)]
     for eps_val in eps_grid:
         p = SyntheticParams(eps=eps_val, **base_kwargs)
@@ -610,7 +561,7 @@ def run_verification(base: SyntheticParams | None = None, seed: int = 0,
         se = float(values.std(ddof=1) / math.sqrt(len(values)))
         records.append(_check(
             "ls_loss_mc_vs_closed", {"beta": beta, "eps": p.eps},
-            ls_loss_closed(p, h), float(values.mean()) + reg, 3.0 * se + 1e-12,
+            robust_loss_closed(p, h), float(values.mean()) + reg, 3.0 * se + 1e-12,
             "closed-form smoothed loss vs direct MC"))
 
     # Document the linear-coefficient convention for the smoothed loss: the
@@ -620,7 +571,7 @@ def run_verification(base: SyntheticParams | None = None, seed: int = 0,
     h_conv = LinearHypothesis(1.0, 0.5)
     values = ls_margin_samples(p_conv, h_conv, mc_samples, root.split(29))
     mc_val = float(values.mean()) + 0.5 * p_conv.lam * (h_conv.w1 ** 2 + h_conv.w2 ** 2)
-    implemented = ls_loss_closed(p_conv, h_conv)
+    implemented = robust_loss_closed(p_conv, h_conv)
     alt = implemented + 2.0 * (1.0 - p_conv.beta) * p_conv.mu * h_conv.w1
     records.append(CheckRecord(
         "ls_w1_coefficient_convention", {"beta": p_conv.beta, "eps": p_conv.eps},
@@ -631,15 +582,14 @@ def run_verification(base: SyntheticParams | None = None, seed: int = 0,
     # Smoothed threshold sits above the one-hot threshold; surplus identity.
     for beta in (0.1, 0.2, 0.3):
         p = SyntheticParams(eps=0.1 * base.mu, beta=beta, **base_kwargs)
-        e1 = eps1(p)
+        e1 = collapse_radius(p)
         records.append(CheckRecord(
             "ls_threshold_above", {"beta": beta}, e0, e1, None,
             "pass" if e1 > e0 else "fail",
             f"smoothed collapse radius {e1:.6g} vs one-hot {e0:.6g}"
-            + (" (exceeds mu/2; clamped for reporting)" if e1 >= base.mu / 2 else "")))
+            + (" (exceeds mu/2)" if e1 >= base.mu / 2 else "")))
         surplus = beta * (2.0 * p.eps + p.sigma_term) / p.lam
-        diff = ls_optimal_weights(p).w2 - optimal_weights(
-            SyntheticParams(eps=p.eps, **base_kwargs)).w2
+        diff = optimal_weights(p).w2 - optimal_weights(replace(p, beta=0.0)).w2
         records.append(_check(
             "ls_w2_surplus_identity", {"beta": beta, "eps": p.eps},
             surplus, diff, 1e-12,
@@ -647,8 +597,8 @@ def run_verification(base: SyntheticParams | None = None, seed: int = 0,
 
     # Smoothed minimizer vs projected GD on the smoothed frozen MC loss.
     p_ls = SyntheticParams(eps=0.2 * base.mu, beta=0.2, **base_kwargs)
-    best_ls = ls_optimal_weights(p_ls)
-    coeff = frozen_linear_coefficients(p_ls, mc_samples, root.split(31), beta=p_ls.beta)
+    best_ls = optimal_weights(p_ls)
+    coeff = frozen_linear_coefficients(p_ls, mc_samples, root.split(31))
     got_ls = projected_gd_oracle(coeff, p_ls.lam, steps=oracle_steps)
     records.append(_check(
         "ls_oracle_w2", {"beta": p_ls.beta, "eps": p_ls.eps}, best_ls.w2, got_ls.w2,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -50,9 +50,6 @@ __all__ = [
 ]
 
 MODES = ("standard", "at", "at_ls", "at_kd", "fast_at")
-
-RECORD_FIELDS = ("epoch", "train_robust_loss", "train_robust_acc",
-                 "test_clean_acc", "test_robust_acc", "cas")
 
 
 class TrainingDiverged(RuntimeError):
@@ -114,9 +111,6 @@ class EpochRow:
     test_clean_acc: float
     test_robust_acc: float
     cas: float
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in RECORD_FIELDS}
 
 
 @dataclass
@@ -286,11 +280,11 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
         best_row = record.best_row()
         save_checkpoint(record.best_model, record.best_path,
                         epoch=-1 if best_epoch is None else best_epoch,
-                        metrics=best_row.as_dict() if best_row else {})
+                        metrics=asdict(best_row) if best_row else {})
         last_row = record.last_row()
         save_checkpoint(record.last_model, record.last_path,
                         epoch=cfg.epochs - 1,
-                        metrics=last_row.as_dict() if last_row else {})
+                        metrics=asdict(last_row) if last_row else {})
         save_records(record, os.path.join(cfg.out_dir, "records.jsonl"))
     return record
 
@@ -299,7 +293,7 @@ def save_records(record: RunRecord, path: str) -> None:
     """One JSON object per epoch with sorted keys, as ``Report.write`` does."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in record.rows:
-            fh.write(json.dumps(row.as_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(row), sort_keys=True) + "\n")
 
 
 def detect_collapse(rows: list[EpochRow], rise: float = 0.2,

@@ -18,6 +18,7 @@ test states the requirement faithfully and is expected to fail.
 import math
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,9 +30,9 @@ from crossfeat.data import Dataset, PlantedSpec, generate_planted
 from crossfeat.model import (Classifier, CrossEntropy, Distillation,
                              LabelSmoothing, backward, forward)
 from crossfeat.numerics import RngStream, cosine_similarity
-from crossfeat.synthetic import (LinearHypothesis, SyntheticParams, eps0, eps1,
+from crossfeat.synthetic import (LinearHypothesis, SyntheticParams, collapse_radius,
                                  frozen_linear_coefficients, linear_classifier,
-                                 ls_optimal_weights, margin_loss, max_gauss_mean_mc,
+                                 margin_loss, max_gauss_mean_mc,
                                  optimal_weights, pair_margin_prob,
                                  projected_gd_oracle, sample, worst_case_delta)
 from crossfeat.training import EpochRow, TrainConfig, detect_collapse, train
@@ -136,17 +137,17 @@ class TestCriterion03:
 
     def test_criterion_03_smoothing_raises_collapse_radius(self):
         base = SyntheticParams()
-        e0 = eps0(base)
+        e0 = collapse_radius(base)
         problems = []
         for beta in self.BETAS:
-            e1 = eps1(SyntheticParams(beta=beta))
+            e1 = collapse_radius(SyntheticParams(beta=beta))
             if not e1 > e0:
                 problems.append(f"beta={beta}: eps1 {e1:.4f} <= eps0 {e0:.4f}")
         for beta in self.BETAS:
             for eps in (0.05, 0.10, 0.15, 0.20):
                 params = SyntheticParams(eps=eps, beta=beta)
-                w2_plain = optimal_weights(params).w2
-                w2_smooth = ls_optimal_weights(params).w2
+                w2_plain = optimal_weights(replace(params, beta=0.0)).w2
+                w2_smooth = optimal_weights(params).w2
                 if w2_plain <= 0 or w2_smooth <= 0:
                     continue
                 surplus = beta * (2.0 * eps + params.sigma_term) / params.lam
@@ -157,7 +158,7 @@ class TestCriterion03:
             params = SyntheticParams(eps=0.2, beta=beta)
             coeff = frozen_linear_coefficients(params, 200_000, root.split(k))
             est = projected_gd_oracle(coeff, params.lam)
-            target = ls_optimal_weights(params).w2
+            target = optimal_weights(params).w2
             if abs(est.w2 - target) > 0.05 * target:
                 problems.append(f"beta={beta}: oracle w2 {est.w2:.4f} vs {target:.4f}")
         _report(3, "smoothed objective: radius shift, weight surplus, oracle",

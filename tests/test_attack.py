@@ -1,8 +1,11 @@
 """Tests for epsilon-ball projection, multi-step ascent, and the fast attack."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import crossfeat.attack
 import crossfeat.model
 from crossfeat.attack import AttackConfig, fgsm, pgd, project
 from crossfeat.model import _BLOCK_ROWS, Affine, Classifier, CrossEntropy, backward
@@ -47,9 +50,7 @@ class TestAttackConfig:
     def test_default_step_sizes(self):
         assert AttackConfig(norm="linf", epsilon=0.4).resolved_step() == 0.1
         assert AttackConfig(norm="l2", epsilon=0.4).resolved_step() == 0.05
-        assert AttackConfig(norm="linf", epsilon=0.4).resolved_step(fast=True) == 0.4
         assert AttackConfig(epsilon=0.4, step_size=0.07).resolved_step() == 0.07
-        assert AttackConfig(epsilon=0.4, step_size=0.07).resolved_step(fast=True) == 0.07
 
 
 class TestProject:
@@ -196,7 +197,7 @@ class TestPgd:
         x = np.array([[0.3, -0.2]])
         y = np.array([0])
         cfg = AttackConfig(norm="linf", epsilon=0.1, steps=10)
-        one = pgd(model, x, y, cfg, steps=1)
+        one = pgd(model, x, y, replace(cfg, steps=1))
         # One step of size eps/4 moves exactly eps/4 along the sign direction.
         assert np.allclose(one, x + 0.025 * np.sign(LINEAR_W[1] - LINEAR_W[0]),
                            atol=1e-12)
@@ -220,8 +221,7 @@ class TestPgdChecks:
         model.head.weights *= 1e150
         x, y = batch(model)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or inf"):
-            pgd(model, x * 1e-200, y, AttackConfig(norm="l2", epsilon=1e-200),
-                steps=1)
+            pgd(model, x * 1e-200, y, AttackConfig(norm="l2", epsilon=1e-200, steps=1))
 
 
 class TestPgdBlocks:
@@ -246,8 +246,20 @@ class TestFgsm:
         cfg = AttackConfig(norm="linf", epsilon=0.25)
         rs_cfg = AttackConfig(norm="linf", epsilon=0.25, random_start=True)
         a = fgsm(model, x, y, cfg, RngStream(11, stream_id=86))
-        b = pgd(model, x, y, rs_cfg, RngStream(11, stream_id=86), steps=1, fast=True)
+        b = pgd(model, x, y, replace(rs_cfg, steps=1, step_size=0.25),
+                RngStream(11, stream_id=86))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("step_size, expected", [(None, 0.4), (0.07, 0.07)])
+    def test_single_step_of_epsilon_unless_overridden(self, monkeypatch,
+                                                      step_size, expected):
+        seen = []
+        monkeypatch.setattr(crossfeat.attack, "pgd",
+                            lambda model, x, y, cfg, rng: seen.append(cfg))
+        cfg = AttackConfig(norm="linf", epsilon=0.4, step_size=step_size)
+        fgsm(None, None, None, cfg)
+        assert seen[0].steps == 1 and seen[0].random_start
+        assert seen[0].resolved_step() == expected
 
     def test_output_stays_inside_ball(self):
         model = mlp()

@@ -44,6 +44,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="'trian'"):
             load_config(path)
 
+    def test_top_level_format_key_rejected(self, tmp_path):
+        # The output format is the --format flag, not a config key.
+        path = write_config(tmp_path, {"format": "records"})
+        with pytest.raises(ConfigError, match="'format'"):
+            load_config(path)
+
     def test_unknown_nested_key_reports_dotted_location(self, tmp_path):
         path = write_config(tmp_path, {"train": {"epochs": 1, "lr_decay": 0.1}})
         with pytest.raises(ConfigError, match="'train.lr_decay'"):

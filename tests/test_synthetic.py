@@ -2,19 +2,17 @@
 
 import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from crossfeat.numerics import RngStream, std_normal_cdf
 from crossfeat.synthetic import (CheckRecord, GroupVerification,
                                  LinearHypothesis, SyntheticParams,
-                                 adversarial_batch, eps0, eps1,
+                                 adversarial_batch, collapse_radius,
                                  frozen_linear_coefficients, linear_classifier,
-                                 linear_logits, ls_loss_closed,
-                                 ls_margin_samples, ls_optimal_weights, margin_loss,
+                                 linear_logits, ls_margin_samples, margin_loss,
                                  max_gauss_mean_mc, optimal_weights,
                                  pair_margin_prob, projected_gd_oracle,
                                  replicate_groups, robust_loss_closed,
@@ -182,21 +180,13 @@ class TestRobustLoss:
         se = margins.std(ddof=1) / math.sqrt(len(margins))
         assert abs(margins.mean() + reg - robust_loss_closed(p, h)) <= 3.0 * se
 
-    @given(w1=st.floats(0.0, 2.0), w2=st.floats(0.0, 2.0))
-    @settings(max_examples=25, deadline=None)
-    def test_zero_beta_smoothed_loss_reduces_to_robust(self, w1, w2):
-        p = SyntheticParams(eps=0.2, beta=0.0, **DEFAULTS)
-        h = LinearHypothesis(w1, w2)
-        assert ls_loss_closed(p, h) == pytest.approx(robust_loss_closed(p, h),
-                                                     abs=1e-12)
-
     def test_smoothed_closed_matches_mc_within_three_se(self):
         p = SyntheticParams(eps=0.2, beta=0.2, **DEFAULTS)
         h = LinearHypothesis(1.0, 0.5)
         samples = ls_margin_samples(p, h, 200_000, RngStream(10, stream_id=70))
         reg = 0.5 * p.lam * (h.w1 ** 2 + h.w2 ** 2)
         se = samples.std(ddof=1) / math.sqrt(len(samples))
-        assert abs(samples.mean() + reg - ls_loss_closed(p, h)) <= 3.0 * se
+        assert abs(samples.mean() + reg - robust_loss_closed(p, h)) <= 3.0 * se
 
 
 class TestOptimalWeights:
@@ -208,15 +198,19 @@ class TestOptimalWeights:
         assert high.w1 == pytest.approx(0.4, abs=1e-15)
         assert high.w2 == 0.0
 
-    def test_collapse_radius(self):
-        assert eps0(SyntheticParams(**DEFAULTS)) == pytest.approx(0.25, abs=1e-15)
-        for frac in (0.26, 0.3, 0.45):
-            assert optimal_weights(SyntheticParams(eps=frac, **DEFAULTS)).w2 == 0.0
-        for frac in (0.05, 0.2, 0.24):
-            assert optimal_weights(SyntheticParams(eps=frac, **DEFAULTS)).w2 > 0.0
+    @pytest.mark.parametrize("beta, radius", [(0.0, 0.25), (0.2, 0.375)],
+                             ids=["0.0", "0.2"])
+    def test_collapse_radius(self, beta, radius):
+        # (mu / (1 - beta) - sigma/sqrt(pi)) / 2 with mu = 1, sigma/sqrt(pi) = 0.5.
+        p = SyntheticParams(beta=beta, **DEFAULTS)
+        assert collapse_radius(p) == pytest.approx(radius, abs=1e-15)
+        for eps in (radius + 0.01, radius + 0.05, 0.49):
+            assert optimal_weights(replace(p, eps=eps)).w2 == 0.0
+        for eps in (0.05, radius - 0.05, radius - 0.01):
+            assert optimal_weights(replace(p, eps=eps)).w2 > 0.0
 
     def test_frozen_smoothed_minimizer(self):
-        h = ls_optimal_weights(SyntheticParams(eps=0.1, beta=0.2, **DEFAULTS))
+        h = optimal_weights(SyntheticParams(eps=0.1, beta=0.2, **DEFAULTS))
         assert h.w1 == pytest.approx(0.66, abs=1e-15)
         assert h.w2 == pytest.approx(0.44, abs=1e-15)
 
@@ -225,16 +219,17 @@ class TestOptimalWeights:
         p = SyntheticParams(eps=0.1, beta=beta, **DEFAULTS)
         plain = optimal_weights(SyntheticParams(eps=0.1, **DEFAULTS))
         surplus = beta * (2.0 * p.eps + p.sigma_term) / p.lam
-        assert ls_optimal_weights(p).w2 - plain.w2 == pytest.approx(surplus,
-                                                                    abs=1e-12)
+        assert optimal_weights(p).w2 - plain.w2 == pytest.approx(surplus,
+                                                                 abs=1e-12)
 
     @pytest.mark.parametrize("beta", [0.1, 0.2, 0.3])
     def test_smoothed_collapse_radius_exceeds_plain(self, beta):
         p = SyntheticParams(beta=beta, **DEFAULTS)
-        assert eps1(p) > eps0(p)
+        assert collapse_radius(p) > collapse_radius(replace(p, beta=0.0))
 
-    def test_minimizer_beats_neighbors(self):
-        p = SyntheticParams(eps=0.1, **DEFAULTS)
+    @pytest.mark.parametrize("beta", [0.0, 0.2])
+    def test_minimizer_beats_neighbors(self, beta):
+        p = SyntheticParams(eps=0.1, beta=beta, **DEFAULTS)
         best = optimal_weights(p)
         base = robust_loss_closed(p, best)
         for dw1, dw2 in ((0.01, 0), (-0.01, 0), (0, 0.01), (0, -0.01)):
@@ -360,8 +355,18 @@ class TestRunVerification:
             assert expected in names
 
     def test_records_are_json_serializable(self, records):
-        blob = json.dumps([r.as_dict() for r in records])
+        blob = json.dumps([asdict(r) for r in records])
         assert json.loads(blob)[0]["name"] == records[0].name
+
+    def test_radius_past_mu_half_is_reported_not_clamped(self):
+        # sigma = 0.5 puts the beta = 0.3 radius at about 0.573 >= mu/2.
+        records = run_verification(SyntheticParams(sigma=0.5), mc_samples=2_000,
+                                   oracle_steps=100)
+        above = [r for r in records if r.name == "ls_threshold_above"]
+        assert above[-1].params == {"beta": 0.3}
+        assert above[-1].observed == pytest.approx(0.573, abs=1e-3)
+        assert "exceeds mu/2" in above[-1].detail
+        assert not any("clamped" in r.detail for r in records)
 
     def test_convention_records_are_informational(self, records):
         conventions = [r for r in records

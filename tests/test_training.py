@@ -2,6 +2,7 @@
 and the fast-attack collapse detector."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -199,7 +200,7 @@ class TestTrainLoop:
         train_set, test_set = tiny_data()
         a = train(tiny_model(), train_set, test_set, tiny_cfg())
         b = train(tiny_model(), train_set, test_set, tiny_cfg())
-        assert [r.as_dict() for r in a.rows] == [r.as_dict() for r in b.rows]
+        assert a.rows == b.rows
         for (_, pa), (_, pb) in zip(a.last_model.param_items(),
                                     b.last_model.param_items()):
             assert np.array_equal(pa, pb)
@@ -213,8 +214,7 @@ class TestTrainLoop:
         for (_, pa), (_, pb) in zip(at_run.last_model.param_items(),
                                     std_run.last_model.param_items()):
             assert np.array_equal(pa, pb)
-        assert [r.as_dict() for r in at_run.rows] == \
-            [r.as_dict() for r in std_run.rows]
+        assert at_run.rows == std_run.rows
 
     def test_zero_beta_smoothing_equals_plain_adversarial(self):
         train_set, test_set = tiny_data()
@@ -259,7 +259,7 @@ class TestTrainLoop:
                   tiny_cfg(mode="fast_at", epochs=2))
         b = train(tiny_model(), train_set, test_set,
                   tiny_cfg(mode="fast_at", epochs=2))
-        assert [r.as_dict() for r in a.rows] == [r.as_dict() for r in b.rows]
+        assert a.rows == b.rows
 
     def test_zero_epochs_yields_empty_record(self):
         train_set, test_set = tiny_data()
@@ -276,7 +276,7 @@ class TestTrainLoop:
                        tiny_cfg(out_dir=out))
         best_model, best_epoch, best_metrics = load_checkpoint(record.best_path)
         assert best_epoch == record.best_epoch
-        assert best_metrics == record.best_row().as_dict()
+        assert best_metrics == asdict(record.best_row())
         last_model, last_epoch, _ = load_checkpoint(record.last_path)
         assert last_epoch == len(record.rows) - 1
         x = test_set.inputs[:4]
@@ -286,7 +286,7 @@ class TestTrainLoop:
                               forward(record.last_model, x))
         with open(f"{out}/records.jsonl", encoding="utf-8") as fh:
             reloaded = [json.loads(line) for line in fh]
-        assert reloaded == [r.as_dict() for r in record.rows]
+        assert reloaded == [asdict(r) for r in record.rows]
 
     def test_divergence_guard_raises(self):
         train_set, test_set = tiny_data()
