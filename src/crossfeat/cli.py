@@ -31,7 +31,7 @@ from .data import Dataset, PlantedSpec, generate_planted, load_tabular, save_tab
 from .model import Classifier, load_checkpoint
 from .numerics import RngStream
 from .synthetic import SyntheticParams, run_verification
-from .training import (TrainConfig, detect_collapse, evaluate, train)
+from .training import TrainConfig, detect_collapse, evaluate, train, train_many
 
 __all__ = ["ConfigError", "Report", "cmd_attribution", "cmd_eval",
            "cmd_gen_data", "cmd_report", "cmd_sweep", "cmd_synth_verify",
@@ -280,19 +280,18 @@ def cmd_gen_data(config: dict, out_dir: str | None = None,
     return report
 
 
-def _run_training(config: dict, seed: int, out_dir: str | None,
-                  datasets: tuple[Dataset, Dataset]):
-    train_set, test_set = datasets
+def _training_job(config: dict, seed: int, out_dir: str | None,
+                  train_set: Dataset) -> tuple[Classifier, TrainConfig]:
     model = _model_from(config, train_set.inputs.shape[1], train_set.class_count, seed)
-    cfg = _train_cfg_from(config, seed, out_dir)
-    return train(model, train_set, test_set, cfg), cfg
+    return model, _train_cfg_from(config, seed, out_dir)
 
 
 def cmd_train(config: dict, out_dir: str | None = None,
               seed: int | None = None) -> Report:
     run_seed = seed if seed is not None else int(config.get("seed", 0))
-    record, cfg = _run_training(config, run_seed, out_dir,
-                                _datasets_from(config, None))
+    train_set, test_set = _datasets_from(config, None)
+    model, cfg = _training_job(config, run_seed, out_dir, train_set)
+    record = train(model, train_set, test_set, cfg)
     rows = [asdict(row) for row in record.rows]
     best = record.best_row()
     last = record.last_row()
@@ -400,68 +399,99 @@ def cmd_attribution(config: dict, out_dir: str | None = None,
     return report
 
 
-def cmd_sweep(config: dict, out_dir: str | None = None,
-              seed: int | None = None) -> Report:
-    section = config.get("sweep", {})
+def _sweep_cells(section: dict) -> list[tuple[float, str, int]]:
+    """The (epsilon, mode, seed) grid in row order.  Rejects a grid in which two
+    cells would share a directory."""
     epsilons = section.get("epsilons")
     modes = section.get("modes")
     seeds = section.get("seeds", [1, 2, 3])
     if not epsilons or not modes or not seeds:
         raise ConfigError("sweep requires nonempty epsilons, modes, and seeds")
+    for eps in epsilons:
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+            raise ConfigError(f"sweep.epsilons: expected numbers, got {eps!r}")
+    for mode in modes:
+        if not isinstance(mode, str):
+            raise ConfigError(f"sweep.modes: expected strings, got {mode!r}")
+    for cell_seed in seeds:
+        # RngStream would truncate 1.5 or True to a seed already in the grid.
+        if isinstance(cell_seed, bool) or not isinstance(cell_seed, int) or cell_seed < 0:
+            raise ConfigError(
+                f"sweep.seeds: expected non-negative integers, got {cell_seed!r}")
+    cells = [(eps, mode, cell_seed) for eps in epsilons for mode in modes
+             for cell_seed in seeds]
+    owners: dict[str, tuple] = {}
+    for cell in cells:
+        name = _cell_name(*cell)
+        if name in owners:
+            raise ConfigError(f"sweep: cells {owners[name]} and {cell} share "
+                              f"the directory cells/{name}")
+        owners[name] = cell
+    return cells
+
+
+def _cell_name(eps: float, mode: str, cell_seed: int) -> str:
+    return f"eps{eps:g}_{mode}_s{cell_seed}"
+
+
+def _cell_row(eps: float, mode: str, cell_seed: int, result) -> dict:
+    row = {"epsilon": eps, "mode": mode, "seed": cell_seed}
+    if not isinstance(result, Exception) and result.best_epoch is None:
+        result = ValueError("no epoch to report: train.epochs is 0")
+    if isinstance(result, Exception):  # cell failure is recorded, sweep continues
+        row["error"] = f"{type(result).__name__}: {result}"
+        return row
+    best, last = result.best_row(), result.last_row()
+    row.update({
+        "ra_best": best.test_robust_acc,
+        "ra_last": last.test_robust_acc,
+        "cas_best": best.cas,
+        "cas_last": last.cas,
+        "delta_cas": best.cas - last.cas,
+        "best_epoch": result.best_epoch,
+        "collapse": detect_collapse(result.rows)["occurred"],
+    })
+    return row
+
+
+def cmd_sweep(config: dict, out_dir: str | None = None,
+              seed: int | None = None) -> Report:
+    cells = _sweep_cells(config.get("sweep", {}))
     # Every cell trains on the same data: generate it once, not per cell.
-    datasets = _datasets_from(config, None)
-    rows: list[dict] = []
-    any_failed = False
-    for eps in epsilons:
-        for mode in modes:
-            for cell_seed in seeds:
-                cell_dir = None
-                if out_dir is not None:
-                    cell_dir = os.path.join(
-                        out_dir, "cells", f"eps{eps:g}_{mode}_s{cell_seed}")
-                cell_config = json.loads(json.dumps(config))
-                cell_config.setdefault("attack", {})["epsilon"] = eps
-                cell_config.setdefault("train", {})["mode"] = mode
-                try:
-                    record, _ = _run_training(cell_config, cell_seed, cell_dir,
-                                              datasets)
-                    best, last = record.best_row(), record.last_row()
-                    row = {
-                        "epsilon": eps, "mode": mode, "seed": cell_seed,
-                        "ra_best": best.test_robust_acc,
-                        "ra_last": last.test_robust_acc,
-                        "cas_best": best.cas,
-                        "cas_last": last.cas,
-                        "delta_cas": best.cas - last.cas,
-                        "best_epoch": record.best_epoch,
-                        "collapse": detect_collapse(record.rows)["occurred"],
-                    }
-                except Exception as exc:  # cell failure is recorded, sweep continues
-                    any_failed = True
-                    row = {"epsilon": eps, "mode": mode, "seed": cell_seed,
-                           "error": f"{type(exc).__name__}: {exc}"}
-                rows.append(row)
+    train_set, test_set = _datasets_from(config, None)
+    jobs, results = {}, {}
+    for i, (eps, mode, cell_seed) in enumerate(cells):
+        cell_dir = None
+        if out_dir is not None:
+            cell_dir = os.path.join(out_dir, "cells", _cell_name(eps, mode, cell_seed))
+        cell_config = json.loads(json.dumps(config))
+        cell_config.setdefault("attack", {})["epsilon"] = eps
+        cell_config.setdefault("train", {})["mode"] = mode
+        try:
+            jobs[i] = _training_job(cell_config, cell_seed, cell_dir, train_set)
+        except Exception as exc:  # cell failure is recorded, sweep continues
+            results[i] = exc
+    results.update(zip(jobs, train_many(jobs.values(), train_set, test_set)))
+    rows = [_cell_row(*cell, results[i]) for i, cell in enumerate(cells)]
     medians = []
-    for eps in epsilons:
-        for mode in modes:
-            cell = [r for r in rows
-                    if r.get("epsilon") == eps and r.get("mode") == mode
-                    and "error" not in r]
-            if not cell:
-                continue
-            medians.append({
-                "epsilon": eps, "mode": mode, "seeds": len(cell),
-                **{key: statistics.median(r[key] for r in cell)
-                   for key in ("ra_best", "ra_last", "cas_best", "cas_last",
-                               "delta_cas")},
-            })
+    for eps, mode in dict.fromkeys((eps, mode) for eps, mode, _ in cells):
+        cell = [r for r in rows
+                if r["epsilon"] == eps and r["mode"] == mode and "error" not in r]
+        if not cell:
+            continue
+        medians.append({
+            "epsilon": eps, "mode": mode, "seeds": len(cell),
+            **{key: statistics.median(r[key] for r in cell)
+               for key in ("ra_best", "ra_last", "cas_best", "cas_last",
+                           "delta_cas")},
+        })
+    failed = sum(1 for r in rows if "error" in r)
     report = Report(
         command="sweep",
         metadata=_base_metadata("sweep", config, seed),
         records=rows,
-        summary={"cells": len(rows), "medians": medians,
-                 "failed_cells": sum(1 for r in rows if "error" in r)},
-        passed=not any_failed,
+        summary={"cells": len(rows), "medians": medians, "failed_cells": failed},
+        passed=not failed,
     )
     report.write(out_dir)
     if out_dir is not None:

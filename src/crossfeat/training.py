@@ -17,11 +17,19 @@ each epoch on the training set with the deterministic evaluation attack, so
 they measure the epoch-end model rather than a running average over
 minibatches taken while the weights were still moving.  For mode=standard
 the two train_* fields hold the clean training quantities and the per-epoch
-attribution is computed on clean examples.
+attribution is computed on clean examples.  A run that diverges leaves the
+records of its finished epochs and a ``diverged.json`` marker (epoch, step,
+message) in its output directory, and no checkpoints; a run that finishes
+there removes the marker.
+
+``train_many`` runs independent jobs on shared datasets, in a pool of forked
+worker processes when more than one CPU is usable.  Each job's result depends
+only on its own inputs, so the results are identical for any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -47,6 +55,7 @@ __all__ = [
     "lr_at",
     "save_records",
     "train",
+    "train_many",
 ]
 
 MODES = ("standard", "at", "at_ls", "at_kd", "fast_at")
@@ -243,9 +252,12 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
                 x_in = pgd(model, x, y, cfg.attack, epoch_attack.split(step))
             bundle = backward(model, x_in, y, loss_spec)
             if not np.isfinite(bundle.loss) or bundle.loss > 1e6:
-                raise TrainingDiverged(
+                exc = TrainingDiverged(
                     f"loss {bundle.loss} at epoch {epoch} step {step} "
                     f"(mode={cfg.mode}, lr={lr})")
+                if cfg.out_dir is not None:
+                    _save_divergence(cfg.out_dir, rows, epoch, step, str(exc))
+                raise exc
             opt_state = sgd_step(model, bundle.params, lr, cfg.momentum,
                                  cfg.weight_decay, opt_state)
 
@@ -285,15 +297,80 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
         save_checkpoint(record.last_model, record.last_path,
                         epoch=cfg.epochs - 1,
                         metrics=asdict(last_row) if last_row else {})
-        save_records(record, os.path.join(cfg.out_dir, "records.jsonl"))
+        save_records(record.rows, os.path.join(cfg.out_dir, "records.jsonl"))
+        # A marker left by an earlier run that diverged here no longer holds.
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(cfg.out_dir, "diverged.json"))
     return record
 
 
-def save_records(record: RunRecord, path: str) -> None:
+def _save_divergence(out_dir: str, rows: list[EpochRow], epoch: int, step: int,
+                     message: str) -> None:
+    """Records of the finished epochs plus a marker naming where the loss blew up."""
+    os.makedirs(out_dir, exist_ok=True)
+    # Checkpoints an earlier run left here would pass for this run's.
+    for name in ("best.ckpt", "last.ckpt"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
+    save_records(rows, os.path.join(out_dir, "records.jsonl"))
+    with open(os.path.join(out_dir, "diverged.json"), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"epoch": epoch, "step": step, "message": message},
+                            sort_keys=True) + "\n")
+
+
+def save_records(rows: list[EpochRow], path: str) -> None:
     """One JSON object per epoch with sorted keys, as ``Report.write`` does."""
     with open(path, "w", encoding="utf-8") as fh:
-        for row in record.rows:
+        for row in rows:
             fh.write(json.dumps(asdict(row), sort_keys=True) + "\n")
+
+
+def _attempt(model: Classifier, cfg: TrainConfig, train_set: Dataset,
+             test_set: Dataset) -> RunRecord | Exception:
+    try:
+        return train(model.copy(), train_set, test_set, cfg)
+    except Exception as exc:  # the job's failure is its result
+        return exc
+
+
+# Set in each pool worker by the initializer; fork hands the datasets over
+# without pickling them.
+_worker_datasets: tuple[Dataset, Dataset] | None = None
+
+
+def _share_datasets(train_set: Dataset, test_set: Dataset) -> None:
+    global _worker_datasets
+    _worker_datasets = (train_set, test_set)
+
+
+def _attempt_shared(model: Classifier, cfg: TrainConfig) -> RunRecord | Exception:
+    return _attempt(model, cfg, *_worker_datasets)
+
+
+def train_many(jobs, train_set: Dataset,
+               test_set: Dataset) -> list[RunRecord | Exception]:
+    """Train each ``(model, TrainConfig)`` job on the same datasets.
+
+    Returns, in job order, each job's ``RunRecord`` or the exception it
+    raised.  The callers' models are not modified.  The jobs run in a pool of
+    forked processes, one per CPU this process may run on (at most one per
+    job), which inherit the datasets; with one CPU or one job they run here,
+    one after another.
+    """
+    jobs = list(jobs)
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    if workers <= 1:
+        return [_attempt(model, cfg, train_set, test_set) for model, cfg in jobs]
+    # Imported here: importing crossfeat loads no process-pool machinery.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_share_datasets,
+                             initargs=(train_set, test_set)) as pool:
+        futures = [pool.submit(_attempt_shared, model, cfg) for model, cfg in jobs]
+        # A broken pool fails the jobs it did not finish, as their results.
+        return [future.exception() or future.result() for future in futures]
 
 
 def detect_collapse(rows: list[EpochRow], rise: float = 0.2,

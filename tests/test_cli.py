@@ -1,6 +1,8 @@
 """Tests for the config-driven command-line runner."""
 
+import concurrent.futures
 import json
+import os
 import statistics
 
 import numpy as np
@@ -165,7 +167,7 @@ class TestTrainCmd:
 
         monkeypatch.setattr(cli, "train", recording_train)
         cmd_train(base_config(), out_dir=str(tmp_path / "run"))
-        save_records(runs[0], str(tmp_path / "direct.jsonl"))
+        save_records(runs[0].rows, str(tmp_path / "direct.jsonl"))
         assert (tmp_path / "run" / "records.jsonl").read_bytes() == \
             (tmp_path / "direct.jsonl").read_bytes()
 
@@ -338,6 +340,61 @@ class TestSweep:
         report = cmd_sweep(config)
         assert report.summary["cells"] == 4
         assert len(calls) == 1
+
+    def test_pool_and_serial_write_identical_files(self, tmp_path, monkeypatch):
+        pools = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        config = base_config(sweep={"epsilons": [0.1, 0.2],
+                                    "modes": ["at", "at_kd"],  # no teacher
+                                    "seeds": [1, 2]})
+        config["train"] = {"epochs": 2}
+        files = {}
+        for name, cpus in (("serial", {0}), ("pooled", {0, 1})):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            report = cmd_sweep(config, out_dir=str(tmp_path / name))
+            assert report.summary["failed_cells"] == 4
+            assert all("teacher" in r["error"] for r in report.records
+                       if r["mode"] == "at_kd")
+            root = tmp_path / name
+            files[name] = {path.relative_to(root).as_posix(): path.read_bytes()
+                           for path in sorted(root.rglob("*"))
+                           if path.is_file() and path.name != "metadata.json"}
+        assert pools == [2]
+        assert files["serial"] == files["pooled"]
+        assert {"records.jsonl", "summary.json", "medians.jsonl",
+                "cells/eps0.2_at_s2/best.ckpt"} <= set(files["serial"])
+
+    @pytest.mark.parametrize("sweep", [
+        {"epsilons": [0.1, 0.1000001], "modes": ["at"], "seeds": [1]},
+        {"epsilons": [0.1], "modes": ["at"], "seeds": [1, 1]},
+    ])
+    def test_cells_sharing_a_directory_rejected_before_training(self, sweep,
+                                                                monkeypatch):
+        monkeypatch.setattr(cli, "train_many", None)
+        with pytest.raises(ConfigError, match="share the directory cells/eps0.1_at_s1"):
+            cmd_sweep(base_config(sweep=sweep))
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "1"])
+    def test_seeds_must_be_non_negative_integers(self, seed):
+        with pytest.raises(ConfigError, match="sweep.seeds"):
+            cmd_sweep(base_config(sweep={"epsilons": [0.1], "modes": ["at"],
+                                         "seeds": [1, seed]}))
+
+    def test_zero_epochs_is_an_error_row(self):
+        config = base_config(sweep={"epsilons": [0.1], "modes": ["at"],
+                                    "seeds": [1]})
+        config["train"] = {"epochs": 0}
+        report = cmd_sweep(config)
+        assert report.records == [{"epsilon": 0.1, "mode": "at", "seed": 1,
+                                   "error": "ValueError: no epoch to report: "
+                                            "train.epochs is 0"}]
+        assert report.summary["medians"] == []
 
     def test_requires_grid(self):
         with pytest.raises(ConfigError, match="sweep requires"):

@@ -1,9 +1,13 @@
 """Each module's ``__all__`` names exactly the public functions and classes
-it defines, so a deleted or added name cannot leave a stale or missing entry."""
+it defines, so a deleted or added name cannot leave a stale or missing entry.
+Importing the package stays as cheap as it is."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -20,3 +24,14 @@ def test_all_lists_every_public_definition(name):
                and (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == module.__name__}
     assert set(module.__all__) == defined
+
+
+def test_importing_the_cli_loads_no_process_pool_modules():
+    # train_many imports these when it starts a pool, not at import time.
+    code = ("import sys, crossfeat.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crossfeat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 and the fast-attack collapse detector."""
 
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -16,7 +17,7 @@ from crossfeat.model import (Affine, Classifier, forward, load_checkpoint,
 from crossfeat.numerics import RngStream
 from crossfeat.training import (EpochRow, RunRecord, TrainConfig,
                                 TrainingDiverged, detect_collapse, evaluate,
-                                lr_at, save_records, train)
+                                lr_at, save_records, train, train_many)
 
 
 def tiny_data():
@@ -294,6 +295,27 @@ class TestTrainLoop:
             train(tiny_model(), train_set, test_set,
                   tiny_cfg(mode="standard", epochs=3, lr=1e5))
 
+    def test_divergence_leaves_finished_epochs_and_a_marker(self, tmp_path):
+        # Epoch 0 trains at lr 0.1; the growing schedule puts epoch 1 at 1e5.
+        train_set, test_set = tiny_data()
+        out = tmp_path / "run"
+        train(tiny_model(), train_set, test_set, tiny_cfg(epochs=1, out_dir=str(out)))
+        assert (out / "best.ckpt").exists() and (out / "last.ckpt").exists()
+        with pytest.raises(TrainingDiverged) as info:
+            train(tiny_model(), train_set, test_set,
+                  tiny_cfg(mode="standard", epochs=2, lr=0.1, decay_factor=1e6,
+                           decay_fractions=(0.5,), out_dir=str(out)))
+        marker = json.loads((out / "diverged.json").read_text())
+        assert marker["epoch"] == 1
+        assert marker["message"] == str(info.value)
+        assert f"epoch 1 step {marker['step']} " in marker["message"]
+        lines = (out / "records.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in lines] == [0]
+        assert not (out / "best.ckpt").exists()
+        assert not (out / "last.ckpt").exists()
+        train(tiny_model(), train_set, test_set, tiny_cfg(epochs=1, out_dir=str(out)))
+        assert not (out / "diverged.json").exists()
+
     def test_empty_dataset_rejected(self):
         train_set, test_set = tiny_data()
         empty = Dataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64), 3)
@@ -301,13 +323,54 @@ class TestTrainLoop:
             train(tiny_model(), empty, test_set, tiny_cfg())
 
 
+def _bits(model):
+    return [p.tobytes() for _, p in model.param_items()]
+
+
+class TestTrainMany:
+    @staticmethod
+    def jobs():
+        return [(tiny_model(seed=s), tiny_cfg(mode=mode, epochs=2, seed=s))
+                for s, mode in ((0, "at"), (1, "fast_at"), (2, "at_ls"))]
+
+    @staticmethod
+    def run(monkeypatch, cpus, jobs):
+        """``train_many`` as if this process could run on ``cpus`` CPUs."""
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            return train_many(jobs, *tiny_data())
+
+    def test_pool_equals_serial_and_leaves_models_alone(self, monkeypatch):
+        train_set, test_set = tiny_data()
+        jobs = self.jobs()
+        before = [_bits(model) for model, _ in jobs]
+        serial = self.run(monkeypatch, 1, jobs)
+        pooled = self.run(monkeypatch, 2, jobs)
+        assert [_bits(model) for model, _ in jobs] == before
+        direct = train(tiny_model(seed=0), train_set, test_set, jobs[0][1])
+        assert serial[0].rows == direct.rows
+        for a, b in zip(serial, pooled):
+            assert a.rows == b.rows
+            assert a.best_epoch == b.best_epoch
+            assert _bits(a.best_model) == _bits(b.best_model)
+            assert _bits(a.last_model) == _bits(b.last_model)
+
+    def test_a_failing_job_returns_its_exception(self, monkeypatch):
+        jobs = [(tiny_model(), tiny_cfg(mode="at_kd", epochs=1)),  # no teacher
+                (tiny_model(), tiny_cfg(epochs=1))]
+        results = {cpus: self.run(monkeypatch, cpus, jobs) for cpus in (1, 2)}
+        for failed, done in results.values():
+            assert type(failed) is ValueError
+            assert str(failed) == str(results[1][0])
+            assert "teacher" in str(failed)
+            assert isinstance(done, RunRecord)
+
+
 class TestRecordsIO:
     def test_round_trip(self, tmp_path):
         rows = [row(0, 0.5, 1.0), row(1, 0.6, 1.5)]
-        record = RunRecord(rows=rows, best_epoch=1, best_model=tiny_model(),
-                           last_model=tiny_model())
         path = str(tmp_path / "records.jsonl")
-        save_records(record, path)
+        save_records(rows, path)
         with open(path, encoding="utf-8") as fh:
             loaded = [EpochRow(**json.loads(line)) for line in fh]
         assert loaded == rows
