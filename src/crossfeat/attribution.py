@@ -136,22 +136,26 @@ def save_matrix(matrix: np.ndarray, path: str) -> None:
 def load_matrix(path: str) -> tuple[np.ndarray, list[int]]:
     """Read a matrix written by :func:`save_matrix`."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(n, ln.split()) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
-    try:
-        k = int(lines[0])
-    except ValueError as exc:
-        raise ValueError(f"{path}:1: expected the class count: {exc}") from exc
+
+    def parse(index: int, kind, count: int, what: str) -> list:
+        number, tokens = lines[index]
+        try:
+            values = [kind(v) for v in tokens]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {what}: {exc}") from exc
+        if len(values) != count:
+            raise ValueError(f"{path}:{number}: expected {count} {what}, "
+                             f"got {len(values)}")
+        return values
+
+    k = parse(0, int, 1, "class count")[0]
+    if k < 0:
+        raise ValueError(f"{path}:{lines[0][0]}: negative class count {k}")
     if len(lines) != k + 2:
         raise ValueError(f"{path}: expected {k + 2} lines, found {len(lines)}")
-    labels = [int(v) for v in lines[1].split()]
-    if len(labels) != k:
-        raise ValueError(f"{path}:2: expected {k} class labels, got {len(labels)}")
-    rows = []
-    for offset, line in enumerate(lines[2:], start=3):
-        row = [float(v) for v in line.split()]
-        if len(row) != k:
-            raise ValueError(f"{path}:{offset}: expected {k} entries, got {len(row)}")
-        rows.append(row)
+    labels = parse(1, int, k, "class labels")
+    rows = [parse(index, float, k, "entries") for index in range(2, k + 2)]
     return np.array(rows), labels

@@ -25,6 +25,15 @@ there removes the marker.
 ``train_many`` runs independent jobs on shared datasets, in a pool of forked
 worker processes when more than one CPU is usable.  Each job's result depends
 only on its own inputs, so the results are identical for any worker count.
+
+Pipelined epochs: with more than one usable CPU, at least two epochs, and
+not inside a ``train_many`` worker, ``train`` hands each epoch-end snapshot
+and its two evaluation streams to one forked worker, which evaluates it
+while the next epoch trains.  Rows and the best checkpoint are settled in
+epoch order from the same computation as the inline path, so records and
+checkpoints are byte-identical.  A divergence first settles the epoch under
+evaluation, whose error, if it raised one, wins; the worker is shut down
+before ``train`` returns or raises.
 """
 
 from __future__ import annotations
@@ -217,6 +226,18 @@ def _loss_spec(cfg: TrainConfig, teacher: Classifier | None):
     return Distillation(teacher, cfg.temperature, cfg.lambda_mix)
 
 
+def _evaluate_epoch(model: Classifier, train_set: Dataset, test_set: Dataset,
+                    attack: AttackConfig, standard: bool, train_rng: RngStream,
+                    test_rng: RngStream):
+    """Train metrics, test metrics and the class attribution matrix of one
+    epoch-end model; standard training measures and attributes clean points."""
+    train_metrics = evaluate(model, train_set, None if standard else attack, train_rng)
+    metrics, adv_inputs = evaluate(model, test_set, attack, test_rng,
+                                   return_adversarial=True)
+    matrix = class_attribution_matrix(model, test_set, None if standard else adv_inputs)
+    return train_metrics, metrics, matrix
+
+
 def train(model: Classifier, train_set: Dataset, test_set: Dataset,
           cfg: TrainConfig) -> RunRecord:
     """Run the configured training mode; see the module docstring for the
@@ -232,57 +253,69 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
     train_eval_stream = root.split(4)
     opt_state = None
     rows: list[EpochRow] = []
-    best_epoch: int | None = None
-    best_ra = -1.0
-    best_model = model.copy()
+    best = (-1.0, None, model.copy())  # (test robust acc, epoch, model)
+    pending = []  # (epoch, snapshot, evaluation) not yet in rows
     inputs, labels = train_set.inputs, train_set.labels
+    # A train_many worker leaves the other cores to its sibling workers.
+    pipelined = (cfg.epochs > 1 and _worker_datasets is None
+                 and len(os.sched_getaffinity(0)) > 1)
 
-    for epoch in range(cfg.epochs):
-        lr = lr_at(epoch, cfg)
-        order = shuffle_stream.split(epoch).generator.permutation(len(train_set))
-        epoch_attack = attack_stream.split(epoch)
-        for step, start in enumerate(range(0, len(order), cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            x, y = inputs[idx], labels[idx]
-            if cfg.mode == "standard":
-                x_in = x
-            elif cfg.mode == "fast_at":
-                x_in = fgsm(model, x, y, cfg.attack, epoch_attack.split(step))
-            else:
-                x_in = pgd(model, x, y, cfg.attack, epoch_attack.split(step))
-            bundle = backward(model, x_in, y, loss_spec)
-            if not np.isfinite(bundle.loss) or bundle.loss > 1e6:
-                exc = TrainingDiverged(
-                    f"loss {bundle.loss} at epoch {epoch} step {step} "
-                    f"(mode={cfg.mode}, lr={lr})")
-                if cfg.out_dir is not None:
-                    _save_divergence(cfg.out_dir, rows, epoch, step, str(exc))
-                raise exc
-            opt_state = sgd_step(model, bundle.params, lr, cfg.momentum,
-                                 cfg.weight_decay, opt_state)
+    def settle() -> None:
+        nonlocal best
+        for epoch, snapshot, evaluation in pending:
+            train_metrics, metrics, matrix = (evaluation.result() if pipelined
+                                              else evaluation)
+            rows.append(EpochRow(
+                epoch=epoch,
+                train_robust_loss=train_metrics["mean_loss"],
+                train_robust_acc=train_metrics["robust_acc"],
+                test_clean_acc=metrics["clean_acc"],
+                test_robust_acc=metrics["robust_acc"],
+                cas=cas(matrix),
+            ))
+            if metrics["robust_acc"] > best[0]:
+                best = (metrics["robust_acc"], epoch, snapshot)
+        pending.clear()
 
-        train_metrics = evaluate(
-            model, train_set,
-            None if cfg.mode == "standard" else eval_attack,
-            train_eval_stream.split(epoch))
-        metrics, adv_inputs = evaluate(model, test_set, eval_attack,
-                                       eval_stream.split(epoch),
-                                       return_adversarial=True)
-        matrix = class_attribution_matrix(
-            model, test_set, None if cfg.mode == "standard" else adv_inputs)
-        rows.append(EpochRow(
-            epoch=epoch,
-            train_robust_loss=train_metrics["mean_loss"],
-            train_robust_acc=train_metrics["robust_acc"],
-            test_clean_acc=metrics["clean_acc"],
-            test_robust_acc=metrics["robust_acc"],
-            cas=cas(matrix),
-        ))
-        if metrics["robust_acc"] > best_ra:
-            best_ra = metrics["robust_acc"]
-            best_epoch = epoch
-            best_model = model.copy()
+    with (_fork_pool(1, train_set, test_set) if pipelined
+          else contextlib.nullcontext()) as pool:
+        for epoch in range(cfg.epochs):
+            lr = lr_at(epoch, cfg)
+            order = shuffle_stream.split(epoch).generator.permutation(len(train_set))
+            epoch_attack = attack_stream.split(epoch)
+            for step, start in enumerate(range(0, len(order), cfg.batch_size)):
+                idx = order[start:start + cfg.batch_size]
+                x, y = inputs[idx], labels[idx]
+                if cfg.mode == "standard":
+                    x_in = x
+                elif cfg.mode == "fast_at":
+                    x_in = fgsm(model, x, y, cfg.attack, epoch_attack.split(step))
+                else:
+                    x_in = pgd(model, x, y, cfg.attack, epoch_attack.split(step))
+                bundle = backward(model, x_in, y, loss_spec)
+                if not np.isfinite(bundle.loss) or bundle.loss > 1e6:
+                    exc = TrainingDiverged(
+                        f"loss {bundle.loss} at epoch {epoch} step {step} "
+                        f"(mode={cfg.mode}, lr={lr})")
+                    # The previous epoch's evaluation, or its error, came first.
+                    settle()
+                    if cfg.out_dir is not None:
+                        _save_divergence(cfg.out_dir, rows, epoch, step, str(exc))
+                    raise exc
+                opt_state = sgd_step(model, bundle.params, lr, cfg.momentum,
+                                     cfg.weight_decay, opt_state)
 
+            # With a worker, this snapshot is evaluated while the next epoch trains.
+            settle()
+            snapshot = model.copy()
+            job = (eval_attack, cfg.mode == "standard",
+                   train_eval_stream.split(epoch), eval_stream.split(epoch))
+            pending.append((epoch, snapshot,
+                            pool.submit(_evaluate_shared, snapshot, *job) if pipelined
+                            else _evaluate_epoch(snapshot, train_set, test_set, *job)))
+        settle()
+
+    _, best_epoch, best_model = best
     record = RunRecord(rows=rows, best_epoch=best_epoch,
                        best_model=best_model, last_model=model.copy())
     if cfg.out_dir is not None:
@@ -343,8 +376,23 @@ def _share_datasets(train_set: Dataset, test_set: Dataset) -> None:
     _worker_datasets = (train_set, test_set)
 
 
+def _fork_pool(workers: int, train_set: Dataset, test_set: Dataset):
+    """A pool of ``workers`` forked processes that inherit the datasets."""
+    # Imported here: importing crossfeat loads no process-pool machinery.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_share_datasets,
+                               initargs=(train_set, test_set))
+
+
 def _attempt_shared(model: Classifier, cfg: TrainConfig) -> RunRecord | Exception:
     return _attempt(model, cfg, *_worker_datasets)
+
+
+def _evaluate_shared(model: Classifier, *job):
+    return _evaluate_epoch(model, *_worker_datasets, *job)
 
 
 def train_many(jobs, train_set: Dataset,
@@ -361,13 +409,7 @@ def train_many(jobs, train_set: Dataset,
     workers = min(len(os.sched_getaffinity(0)), len(jobs))
     if workers <= 1:
         return [_attempt(model, cfg, train_set, test_set) for model, cfg in jobs]
-    # Imported here: importing crossfeat loads no process-pool machinery.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_share_datasets,
-                             initargs=(train_set, test_set)) as pool:
+    with _fork_pool(workers, train_set, test_set) as pool:
         futures = [pool.submit(_attempt_shared, model, cfg) for model, cfg in jobs]
         # A broken pool fails the jobs it did not finish, as their results.
         return [future.exception() or future.result() for future in futures]

@@ -265,3 +265,22 @@ class TestSaveLoadMatrix:
         ragged.write_text("2\n0 1\n1 0\n0\n")
         with pytest.raises(ValueError, match="expected 2 entries"):
             load_matrix(str(ragged))
+
+    def test_parse_errors_name_the_file_and_line(self, tmp_path):
+        # Blank lines still count, so the line number is the editor's.
+        bad_label = tmp_path / "bad_label.txt"
+        bad_label.write_text("2\n\n0 x\n1 0\n0 1\n")
+        with pytest.raises(ValueError) as info:
+            load_matrix(str(bad_label))
+        assert str(info.value).startswith(f"{bad_label}:3: class labels: ")
+        assert "'x'" in str(info.value)
+        bad_entry = tmp_path / "bad_entry.txt"
+        bad_entry.write_text("2\n0 1\n1 0\n0 oops\n")
+        with pytest.raises(ValueError) as info:
+            load_matrix(str(bad_entry))
+        assert str(info.value).startswith(f"{bad_entry}:4: entries: ")
+        assert "'oops'" in str(info.value)
+        negative = tmp_path / "negative.txt"
+        negative.write_text("-1\n")
+        with pytest.raises(ValueError, match=":1: negative class count -1"):
+            load_matrix(str(negative))

@@ -27,7 +27,8 @@ def test_all_lists_every_public_definition(name):
 
 
 def test_importing_the_cli_loads_no_process_pool_modules():
-    # train_many imports these when it starts a pool, not at import time.
+    # train and train_many import these when they start a pool, not at
+    # import time.
     code = ("import sys, crossfeat.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(crossfeat.__file__)))

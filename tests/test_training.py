@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import crossfeat.model
-from crossfeat.attack import AttackConfig
+import crossfeat.training
+from crossfeat.attack import AttackConfig, pgd
 from crossfeat.attribution import cas, class_attribution_matrix
 from crossfeat.data import Dataset, PlantedSpec, generate_planted
 from crossfeat.model import (Affine, Classifier, forward, load_checkpoint,
@@ -295,26 +296,30 @@ class TestTrainLoop:
             train(tiny_model(), train_set, test_set,
                   tiny_cfg(mode="standard", epochs=3, lr=1e5))
 
-    def test_divergence_leaves_finished_epochs_and_a_marker(self, tmp_path):
+    def test_divergence_leaves_finished_epochs_and_a_marker(self, tmp_path, monkeypatch):
         # Epoch 0 trains at lr 0.1; the growing schedule puts epoch 1 at 1e5.
+        # With two CPUs the worker is still evaluating epoch 0 when epoch 1
+        # diverges, and its row must reach records.jsonl all the same.
         train_set, test_set = tiny_data()
-        out = tmp_path / "run"
-        train(tiny_model(), train_set, test_set, tiny_cfg(epochs=1, out_dir=str(out)))
-        assert (out / "best.ckpt").exists() and (out / "last.ckpt").exists()
-        with pytest.raises(TrainingDiverged) as info:
-            train(tiny_model(), train_set, test_set,
-                  tiny_cfg(mode="standard", epochs=2, lr=0.1, decay_factor=1e6,
-                           decay_fractions=(0.5,), out_dir=str(out)))
-        marker = json.loads((out / "diverged.json").read_text())
-        assert marker["epoch"] == 1
-        assert marker["message"] == str(info.value)
-        assert f"epoch 1 step {marker['step']} " in marker["message"]
-        lines = (out / "records.jsonl").read_text().splitlines()
-        assert [json.loads(line)["epoch"] for line in lines] == [0]
-        assert not (out / "best.ckpt").exists()
-        assert not (out / "last.ckpt").exists()
-        train(tiny_model(), train_set, test_set, tiny_cfg(epochs=1, out_dir=str(out)))
-        assert not (out / "diverged.json").exists()
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"run{cpus}"
+            train(tiny_model(), train_set, test_set, tiny_cfg(epochs=1, out_dir=str(out)))
+            assert (out / "best.ckpt").exists() and (out / "last.ckpt").exists()
+            with pytest.raises(TrainingDiverged) as info:
+                train(tiny_model(), train_set, test_set,
+                      tiny_cfg(mode="standard", epochs=2, lr=0.1, decay_factor=1e6,
+                               decay_fractions=(0.5,), out_dir=str(out)))
+            marker = json.loads((out / "diverged.json").read_text())
+            assert marker["epoch"] == 1
+            assert marker["message"] == str(info.value)
+            assert f"epoch 1 step {marker['step']} " in marker["message"]
+            lines = (out / "records.jsonl").read_text().splitlines()
+            assert [json.loads(line)["epoch"] for line in lines] == [0]
+            assert not (out / "best.ckpt").exists()
+            assert not (out / "last.ckpt").exists()
+            train(tiny_model(), train_set, test_set, tiny_cfg(epochs=1, out_dir=str(out)))
+            assert not (out / "diverged.json").exists()
 
     def test_empty_dataset_rejected(self):
         train_set, test_set = tiny_data()
@@ -364,6 +369,114 @@ class TestTrainMany:
             assert str(failed) == str(results[1][0])
             assert "teacher" in str(failed)
             assert isinstance(done, RunRecord)
+
+
+class TestPipelinedEpochs:
+    """With more than one CPU, train evaluates epoch e in a forked worker
+    while epoch e+1 trains; nothing it returns or writes may differ."""
+
+    @staticmethod
+    def run(monkeypatch, cpus, cfg):
+        """``train`` as if this process could run on ``cpus`` CPUs, and the
+        number of pools it started."""
+        pools = []
+        real = crossfeat.training._fork_pool
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            m.setattr(crossfeat.training, "_fork_pool",
+                      lambda *args: pools.append(args[0]) or real(*args))
+            return train(tiny_model(), *tiny_data(), cfg), pools
+
+    @pytest.mark.parametrize("mode", ["at", "at_ls", "standard"])
+    def test_two_cpus_equal_one(self, monkeypatch, tmp_path, mode):
+        runs, files = {}, {}
+        for cpus in (1, 2):
+            out = tmp_path / str(cpus)
+            runs[cpus], pools = self.run(
+                monkeypatch, cpus, tiny_cfg(mode=mode, epochs=4, out_dir=str(out)))
+            assert pools == ([] if cpus == 1 else [1])
+            files[cpus] = {path.name: path.read_bytes() for path in out.iterdir()}
+        serial, pipelined = runs[1], runs[2]
+        assert serial.rows == pipelined.rows
+        assert serial.best_epoch == pipelined.best_epoch
+        assert _bits(serial.best_model) == _bits(pipelined.best_model)
+        assert _bits(serial.last_model) == _bits(pipelined.last_model)
+        assert sorted(files[1]) == ["best.ckpt", "last.ckpt", "records.jsonl"]
+        assert files[1] == files[2]
+
+    def test_one_epoch_runs_inline(self, monkeypatch):
+        _, pools = self.run(monkeypatch, 2, tiny_cfg(epochs=1))
+        assert pools == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_evaluation_error_wins_over_a_later_divergence(self, monkeypatch,
+                                                               tmp_path, cpus):
+        # Serially the failed evaluation of epoch 0 comes before epoch 1, whose
+        # lr of 1e5 diverges; the pipeline must raise the same error.
+        def failing(*args):
+            raise FloatingPointError("injected evaluation failure")
+
+        monkeypatch.setattr(crossfeat.training, "_evaluate_epoch", failing)
+        out = tmp_path / "run"
+        cfg = tiny_cfg(mode="standard", epochs=2, lr=0.1, decay_factor=1e6,
+                       decay_fractions=(0.5,), out_dir=str(out))
+        with pytest.raises(FloatingPointError, match="^injected evaluation failure$"):
+            self.run(monkeypatch, cpus, cfg)
+        assert not out.exists()
+
+    def test_train_many_workers_start_no_grandchild(self, monkeypatch):
+        parent = os.getpid()
+        real = crossfeat.training._fork_pool
+
+        def parent_only(*args):
+            if os.getpid() != parent:
+                raise AssertionError("a train_many worker started a pool")
+            return real(*args)
+
+        monkeypatch.setattr(crossfeat.training, "_fork_pool", parent_only)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        jobs = [(tiny_model(seed=s), tiny_cfg(epochs=3, seed=s)) for s in (0, 1)]
+        results = train_many(jobs, *tiny_data())
+        assert [type(result) for result in results] == [RunRecord, RunRecord]
+
+
+def _linear_certified(model, inputs, labels, epsilon):
+    """Exact l-inf robustness of a linear classifier: the worst point of the
+    ball against class j moves every coordinate by epsilon against
+    w_y - w_j, so a sample is certified iff min over j != y of
+    (w_y - w_j).x + b_y - b_j - epsilon * ||w_y - w_j||_1 > 0.  Also returns
+    that worst point for each sample's minimising j."""
+    weights, bias = model.head.weights, model.head.bias
+    diff = weights[labels][:, None, :] - weights[None, :, :]
+    margins = (np.einsum("nkd,nd->nk", diff, inputs)
+               + bias[labels][:, None] - bias[None, :]
+               - epsilon * np.abs(diff).sum(axis=2))
+    margins[np.arange(len(labels)), labels] = np.inf
+    worst = margins.argmin(axis=1)
+    corner = inputs - epsilon * np.sign(diff[np.arange(len(labels)), worst])
+    return margins.min(axis=1) > 0, corner
+
+
+class TestLinearRobustnessOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pgd_never_beats_the_exact_oracle(self, seed):
+        gen = RngStream(seed, stream_id=90).generator
+        classes, dim, n = int(gen.integers(2, 6)), int(gen.integers(2, 9)), 200
+        model = Classifier([], Affine(gen.normal(size=(classes, dim)),
+                                      gen.normal(size=classes)))
+        labels = gen.integers(0, classes, size=n)
+        inputs = 2.0 * model.head.weights[labels] + gen.normal(size=(n, dim))
+        epsilon = float(gen.uniform(0.05, 0.5))
+        attack = AttackConfig(norm="linf", epsilon=epsilon, steps=10)
+        certified, corner = _linear_certified(model, inputs, labels, epsilon)
+        assert 0 < certified.sum() < n  # neither side of the check is empty
+        # The oracle is exact: an uncertified sample is misclassified at its
+        # worst corner.
+        assert not (forward(model, corner).argmax(axis=1) == labels)[~certified].any()
+        adv = pgd(model, inputs, labels, attack, RngStream(seed, stream_id=91))
+        assert (forward(model, adv).argmax(axis=1) == labels)[certified].all()
+        metrics = evaluate(model, Dataset(inputs, labels, classes), attack)
+        assert metrics["robust_acc"] >= certified.mean()
 
 
 class TestRecordsIO:
