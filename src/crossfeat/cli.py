@@ -137,7 +137,8 @@ def _planted_from(config: dict, seed: int | None) -> PlantedSpec | None:
     return _build("data.planted", PlantedSpec, kwargs)
 
 
-def _datasets_from(config: dict, seed: int | None) -> tuple[Dataset, Dataset]:
+def _datasets_from(config: dict, seed: int | None,
+                   train: bool = True) -> tuple[Dataset | None, Dataset]:
     spec = _planted_from(config, seed)
     if spec is not None:
         return generate_planted(spec)
@@ -146,7 +147,7 @@ def _datasets_from(config: dict, seed: int | None) -> tuple[Dataset, Dataset]:
         raise ConfigError("data: need either data.planted or train_path + test_path")
     fmt = data.get("format", "delimited-text")
     count = data.get("class_count")
-    return (load_tabular(data["train_path"], fmt, count),
+    return (load_tabular(data["train_path"], fmt, count) if train else None,
             load_tabular(data["test_path"], fmt, count))
 
 
@@ -324,7 +325,7 @@ def cmd_eval(config: dict, out_dir: str | None = None,
         raise ConfigError("eval.checkpoint is required")
     model, epoch, _ = load_checkpoint(section["checkpoint"])
     run_seed = seed if seed is not None else int(config.get("seed", 0))
-    test_set = _datasets_from(config, None)[1]
+    test_set = _datasets_from(config, None, train=False)[1]
     attack = _attack_from(config)
     metrics = evaluate(model, test_set, attack, RngStream(run_seed))
     report = Report(
@@ -360,7 +361,7 @@ def cmd_attribution(config: dict, out_dir: str | None = None,
     if "checkpoint" not in section:
         raise ConfigError("attribution.checkpoint is required")
     run_seed = seed if seed is not None else int(config.get("seed", 0))
-    test_set = _datasets_from(config, None)[1]
+    test_set = _datasets_from(config, None, train=False)[1]
     attack = _attack_from(config)
     clean = bool(section.get("clean", False)) or attack is None or attack.epsilon == 0.0
     model, _, _ = load_checkpoint(section["checkpoint"])

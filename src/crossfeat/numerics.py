@@ -95,6 +95,16 @@ def as_array(values, *, name: str = "array") -> np.ndarray:
     return arr
 
 
+def _fork_pool(workers: int, initializer=None, initargs=()):
+    """A pool of ``workers`` forked processes that first run ``initializer``."""
+    # Imported here: importing crossfeat loads no process-pool machinery.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=initializer, initargs=initargs)
+
+
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF for a scalar, accurate to well below 1e-10.
 

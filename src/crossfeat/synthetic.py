@@ -27,18 +27,21 @@ family of formulas in beta follows: the loss, its minimizer, the radius
 where the cross-class weight collapses to zero, and pairwise margin
 probabilities.  beta = 0 is one-hot training; every formula then reduces to
 its one-hot form.  Each has an MC oracle here that estimates the same
-quantity from raw samples without using the formula under test.
+quantity from raw samples without using the formula under test;
+:func:`run_verification` runs the independent check groups in parallel.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import Affine, Classifier
-from .numerics import RngStream, std_normal_cdf
+from .numerics import RngStream, _fork_pool, as_array, std_normal_cdf
 
 __all__ = [
     "CheckRecord",
@@ -157,10 +160,10 @@ def sample_mixed(params: SyntheticParams, n: int, rng: RngStream) -> SyntheticBa
     x_e = np.zeros((n, 3))
     x_c = np.zeros((n, 3))
     for class_i in CLASSES:
-        mask = labels == class_i
-        part = sample(params, class_i, int(mask.sum()), rng.split(class_i))
-        x_e[mask] = part.x_e
-        x_c[mask] = part.x_c
+        rows = np.flatnonzero(labels == class_i)
+        part = sample(params, class_i, len(rows), rng.split(class_i))
+        x_e[rows] = part.x_e
+        x_c[rows] = part.x_c
     return SyntheticBatch(x_e, x_c, labels.astype(np.int64))
 
 
@@ -172,12 +175,8 @@ def linear_logits(hypothesis: LinearHypothesis, x_e: np.ndarray, x_c: np.ndarray
 
 def linear_classifier(hypothesis: LinearHypothesis) -> Classifier:
     """The same scorer as a bias-free linear Classifier over (x_E | x_C) in R^6."""
-    head = np.zeros((3, 6))
-    for i in range(3):
-        head[i, i] = hypothesis.w1
-        for j in range(3):
-            if j != i:
-                head[i, 3 + j] = hypothesis.w2
+    own = np.eye(3, dtype=bool)
+    head = np.hstack([np.where(own, hypothesis.w1, 0.0), np.where(own, 0.0, hypothesis.w2)])
     return Classifier(hidden=[], head=Affine(head, None))
 
 
@@ -192,13 +191,8 @@ def worst_case_delta(params: SyntheticParams, class_i: int = 1) -> np.ndarray:
     """
     if class_i not in CLASSES:
         raise ValueError(f"class must be one of {CLASSES}, got {class_i}")
-    idx = class_i - 1
-    delta = np.empty(6)
-    delta[:3] = params.eps
-    delta[idx] = -params.eps
-    delta[3:] = -params.eps
-    delta[3 + idx] = params.eps
-    return delta
+    delta_e = np.where(np.arange(3) == class_i - 1, -params.eps, params.eps)
+    return np.concatenate([delta_e, -delta_e])
 
 
 def margin_loss(hypothesis: LinearHypothesis, x_e: np.ndarray, x_c: np.ndarray,
@@ -215,16 +209,10 @@ def margin_loss(hypothesis: LinearHypothesis, x_e: np.ndarray, x_c: np.ndarray,
 
 def adversarial_batch(params: SyntheticParams, batch: SyntheticBatch) -> SyntheticBatch:
     """Apply each sample's analytic worst-case perturbation in place of delta search."""
-    x_e = batch.x_e.copy()
-    x_c = batch.x_c.copy()
-    for class_i in CLASSES:
-        mask = batch.labels == class_i
-        if not mask.any():
-            continue
-        delta = worst_case_delta(params, class_i=class_i)
-        x_e[mask] += delta[:3]
-        x_c[mask] += delta[3:]
-    return SyntheticBatch(x_e, x_c, batch.labels.copy())
+    deltas = np.array([worst_case_delta(params, class_i) for class_i in CLASSES])
+    rows = deltas[batch.labels - 1]
+    return SyntheticBatch(batch.x_e + rows[:, :3], batch.x_c + rows[:, 3:],
+                          batch.labels.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +240,7 @@ def ls_margin_samples(params: SyntheticParams, hypothesis: LinearHypothesis,
     adv = adversarial_batch(params, batch)
     margins = margin_loss(hypothesis, adv.x_e, adv.x_c, adv.labels)
     logits = linear_logits(hypothesis, adv.x_e, adv.x_c)
-    idx = adv.labels - 1
-    n = len(idx)
-    off_sum = logits.sum(axis=1) - logits[np.arange(n), idx]
+    off_sum = logits.sum(axis=1) - logits[np.arange(len(adv)), adv.labels - 1]
     return (1.0 - params.beta) * margins - 0.5 * params.beta * off_sum
 
 
@@ -314,12 +300,13 @@ def frozen_linear_coefficients(params: SyntheticParams, n_samples: int,
     smoothed objective.  This lets a frozen sample set define a deterministic
     convex problem for :func:`projected_gd_oracle`.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     beta = params.beta
     batch = sample_mixed(params, n_samples, rng)
     adv = adversarial_batch(params, batch)
-    n = len(adv)
     idx = adv.labels - 1
-    rows = np.arange(n)
+    rows = np.arange(len(adv))
     own_e = adv.x_e[rows, idx]
     own_c = adv.x_c[rows, idx]
     other_c = adv.x_c.copy()
@@ -344,16 +331,27 @@ def projected_gd_oracle(coefficients: np.ndarray, lam: float,
 
     The frozen coefficients make the objective an explicit strongly convex
     quadratic; the iteration is w <- max(0, w - eta * (mean(c) + lam * w))
-    from w = 0 with eta = 0.01 / lam.
+    from w = 0 with eta = 0.01 / lam.  It acts on each coordinate alone, and
+    it stops at an exact fixed point, which every later step would repeat.
     """
+    coefficients = as_array(coefficients, name="coefficients")
+    if coefficients.ndim != 2 or coefficients.shape[1] != 2 or not len(coefficients):
+        raise ValueError(f"coefficients must have shape (n >= 1, 2), got {coefficients.shape}")
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    mean_c = np.asarray(coefficients, dtype=np.float64).mean(axis=0)
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     eta = 0.01 / lam
-    w = np.zeros(2)
-    for _ in range(steps):
-        w = np.maximum(0.0, w - eta * (mean_c + lam * w))
-    return LinearHypothesis(float(w[0]), float(w[1]))
+    weights = []
+    for mean in coefficients.mean(axis=0).tolist():
+        w = 0.0
+        for _ in range(steps):
+            w_next = max(0.0, w - eta * (mean + lam * w))
+            if w_next == w:
+                break
+            w = w_next
+        weights.append(w)
+    return LinearHypothesis(*weights)
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +389,14 @@ def pair_margin_prob(params: SyntheticParams, hypothesis: LinearHypothesis,
         raise ValueError(f"method must be 'closed' or 'mc', got {method!r}")
     if rng is None:
         raise ValueError("mc method requires an rng stream")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     batch = sample(params, 1, n_samples, rng)
-    x_e = batch.x_e.copy()
-    x_c = batch.x_c.copy()
-    x_e[:, 0] -= params.eps
-    x_e[:, 1] += params.eps
-    x_c[:, 0] += params.eps
-    x_c[:, 1] -= params.eps
-    logits = linear_logits(hypothesis, x_e, x_c)
+    batch.x_e[:, 0] -= params.eps
+    batch.x_e[:, 1] += params.eps
+    batch.x_c[:, 0] += params.eps
+    batch.x_c[:, 1] -= params.eps
+    logits = linear_logits(hypothesis, batch.x_e, batch.x_c)
     return float(np.mean(logits[:, 0] > logits[:, 1]))
 
 
@@ -406,6 +404,8 @@ def max_gauss_mean_mc(n_samples: int, rng: RngStream) -> tuple[float, float]:
     """MC estimate (value, standard error) of E[max(X, Y)], X, Y iid N(0,1).
 
     The exact value is 1/sqrt(pi)."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     gen = rng.generator
     draws = np.maximum(gen.normal(size=n_samples), gen.normal(size=n_samples))
     return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(n_samples))
@@ -476,6 +476,250 @@ def _check(name, params, expected, observed, tolerance, detail="") -> CheckRecor
                        float(tolerance), "pass" if ok else "fail", detail)
 
 
+def _at(base: SyntheticParams, **kwargs) -> SyntheticParams:
+    # The base model's mu, sigma and lam at the radius and smoothing given.
+    return SyntheticParams(mu=base.mu, sigma=base.sigma, lam=base.lam, **kwargs)
+
+
+# Each check group below yields its records in order and draws only from its
+# own ``RngStream(seed).split(k)``, so the groups may run in any process.
+
+
+def _max_gauss_mean(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+    # E[max of two standard normals] = 1/sqrt(pi).
+    value, se = max_gauss_mean_mc(1_000_000, RngStream(seed).split(1))
+    yield _check(
+        "max_gauss_mean", {"n": 1_000_000}, 1.0 / math.sqrt(math.pi), value,
+        3.0 * se, "MC mean of max(X, Y) for X, Y iid N(0,1) vs 1/sqrt(pi)")
+
+
+def _threshold_signs(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+    # Cross-class weight collapse threshold: sign(w2*) == sign(radius - eps).
+    e0 = collapse_radius(_at(base))
+    for eps_val in [(k + 1) / 10.0 * (base.mu / 2.0) for k in range(9)]:
+        w2 = optimal_weights(_at(base, eps=eps_val)).w2
+        gap = e0 - eps_val
+        if abs(gap) <= 1e-12:
+            yield CheckRecord(
+                "threshold_sign", {"eps": eps_val}, 0.0, w2, None, "boundary",
+                "probed exactly at the collapse radius")
+            continue
+        ok = (w2 > 0) == (gap > 0)
+        yield CheckRecord(
+            "threshold_sign", {"eps": eps_val}, float(gap > 0), float(w2 > 0),
+            None, "pass" if ok else "fail",
+            f"w2*={w2:.6g}, collapse radius {e0:.6g}")
+
+
+def _oracle_minimizers(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+    # Closed-form minimizers vs projected GD on frozen MC samples.
+    for eps_val in [f * base.mu for f in (0.05, 0.10, 0.15, 0.20, 0.30, 0.40)]:
+        p = _at(base, eps=eps_val)
+        best = optimal_weights(p)
+        coeff = frozen_linear_coefficients(p, mc_samples, RngStream(seed).split(2))
+        got = projected_gd_oracle(coeff, p.lam, steps=oracle_steps)
+        scale = base.mu / base.lam
+        yield _check(
+            "oracle_w1", {"eps": eps_val}, best.w1, got.w1, 0.05 * max(best.w1, 1e-12),
+            "projected-GD on frozen MC loss vs closed form")
+        if best.w2 > 0.05 * scale:
+            yield _check(
+                "oracle_w2", {"eps": eps_val}, best.w2, got.w2, 0.05 * best.w2,
+                "projected-GD on frozen MC loss vs closed form")
+        else:
+            ok = got.w2 < 0.02 * scale
+            yield CheckRecord(
+                "oracle_w2_collapsed", {"eps": eps_val}, 0.0, got.w2,
+                0.02 * scale, "pass" if ok else "fail",
+                "oracle cross-class weight stays near zero past the collapse radius")
+
+
+def _loss_values(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+    # Loss values: closed form vs straight MC, random hypothesis grid.
+    root = RngStream(seed)
+    gen = root.split(3).generator
+    for k in range(5):
+        eps_val = float(gen.uniform(0.02, 0.48)) * base.mu
+        p = _at(base, eps=eps_val)
+        h = LinearHypothesis(float(gen.uniform(0.0, 2.0)), float(gen.uniform(0.0, 2.0)))
+        margins = robust_margin_samples(p, h, mc_samples, root.split(10 + k))
+        reg = 0.5 * p.lam * (h.w1 ** 2 + h.w2 ** 2)
+        se = float(margins.std(ddof=1) / math.sqrt(len(margins)))
+        yield _check(
+            "loss_mc_vs_closed", {"eps": eps_val, "w1": h.w1, "w2": h.w2},
+            robust_loss_closed(p, h), float(margins.mean()) + reg, 3.0 * se + 1e-12,
+            "closed-form robust loss vs direct MC")
+
+
+def _smoothed_loss_values(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+    # Smoothed loss: closed form vs MC, and the sign of the w1 coefficient.
+    for k, beta in enumerate((0.1, 0.2, 0.3)):
+        p = _at(base, eps=0.2 * base.mu, beta=beta)
+        h = LinearHypothesis(1.0, 0.5)
+        values = ls_margin_samples(p, h, mc_samples, RngStream(seed).split(20 + k))
+        reg = 0.5 * p.lam * (h.w1 ** 2 + h.w2 ** 2)
+        se = float(values.std(ddof=1) / math.sqrt(len(values)))
+        yield _check(
+            "ls_loss_mc_vs_closed", {"beta": beta, "eps": p.eps},
+            robust_loss_closed(p, h), float(values.mean()) + reg, 3.0 * se + 1e-12,
+            "closed-form smoothed loss vs direct MC")
+
+
+def _smoothed_w1_convention(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+    # Document the linear-coefficient convention for the smoothed loss: the
+    # implemented c1 = (1-b)(2e-mu) - b*e agrees with MC; the variant that
+    # flips the sign of the mu term does not.
+    p_conv = _at(base, eps=0.2 * base.mu, beta=0.2)
+    h_conv = LinearHypothesis(1.0, 0.5)
+    values = ls_margin_samples(p_conv, h_conv, mc_samples, RngStream(seed).split(29))
+    mc_val = float(values.mean()) + 0.5 * p_conv.lam * (h_conv.w1 ** 2 + h_conv.w2 ** 2)
+    implemented = robust_loss_closed(p_conv, h_conv)
+    alt = implemented + 2.0 * (1.0 - p_conv.beta) * p_conv.mu * h_conv.w1
+    yield CheckRecord(
+        "ls_w1_coefficient_convention", {"beta": p_conv.beta, "eps": p_conv.eps},
+        implemented, mc_val, None, "info",
+        f"|implemented - mc| = {abs(implemented - mc_val):.2e}; a sign-flipped "
+        f"mu term gives |alt - mc| = {abs(alt - mc_val):.2e}")
+
+
+def _smoothed_thresholds(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+    # Smoothed threshold sits above the one-hot threshold; surplus identity.
+    e0 = collapse_radius(_at(base))
+    for beta in (0.1, 0.2, 0.3):
+        p = _at(base, eps=0.1 * base.mu, beta=beta)
+        e1 = collapse_radius(p)
+        yield CheckRecord(
+            "ls_threshold_above", {"beta": beta}, e0, e1, None,
+            "pass" if e1 > e0 else "fail",
+            f"smoothed collapse radius {e1:.6g} vs one-hot {e0:.6g}"
+            + (" (exceeds mu/2)" if e1 >= base.mu / 2 else ""))
+        surplus = beta * (2.0 * p.eps + p.sigma_term) / p.lam
+        diff = optimal_weights(p).w2 - optimal_weights(replace(p, beta=0.0)).w2
+        yield _check(
+            "ls_w2_surplus_identity", {"beta": beta, "eps": p.eps},
+            surplus, diff, 1e-12,
+            "smoothed-minus-plain cross-class weight vs beta(2eps+sigma/sqrt(pi))/lam")
+
+
+def _smoothed_oracle(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+    # Smoothed minimizer vs projected GD on the smoothed frozen MC loss.
+    p_ls = _at(base, eps=0.2 * base.mu, beta=0.2)
+    best_ls = optimal_weights(p_ls)
+    coeff = frozen_linear_coefficients(p_ls, mc_samples, RngStream(seed).split(31))
+    got_ls = projected_gd_oracle(coeff, p_ls.lam, steps=oracle_steps)
+    yield _check(
+        "ls_oracle_w2", {"beta": p_ls.beta, "eps": p_ls.eps}, best_ls.w2, got_ls.w2,
+        0.05 * best_ls.w2, "projected-GD on frozen smoothed MC loss")
+
+
+def _delta_dominance(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+    # Analytic worst-case perturbation dominates random search.
+    gen = RngStream(seed).split(4).generator
+    violations = 0
+    for _ in range(100):
+        eps_val = float(gen.uniform(0.02, 0.48)) * base.mu
+        p = _at(base, eps=eps_val)
+        h = LinearHypothesis(float(gen.uniform(0.0, 2.0)), float(gen.uniform(0.0, 2.0)))
+        class_i = int(gen.integers(1, 4))
+        one = sample(p, class_i, 1, RngStream(seed, int(gen.integers(0, 2 ** 32))))
+        delta = worst_case_delta(p, class_i=class_i)
+        best_val = margin_loss(h, one.x_e + delta[:3], one.x_c + delta[3:], one.labels)[0]
+        trial = gen.uniform(-p.eps, p.eps, size=(10_000, 6))
+        vals = margin_loss(h, one.x_e + trial[:, :3], one.x_c + trial[:, 3:],
+                           np.full(10_000, class_i, dtype=np.int64))
+        violations += int((vals > best_val + 1e-12).sum())
+    yield CheckRecord(
+        "delta_dominance", {"instances": 100, "trials": 10_000}, 0.0,
+        float(violations), 0.0, "pass" if violations == 0 else "fail",
+        "random-search perturbations never beat the analytic worst case")
+
+
+def _adversarial_distribution(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+    # Perturbed-sample distribution: deterministic coords exactly eps,
+    # stochastic coords match N(mu - eps, sigma^2) moments.
+    p_dist = _at(base, eps=0.2 * base.mu)
+    batch = sample(p_dist, 1, 200_000, RngStream(seed).split(5))
+    adv = adversarial_batch(p_dist, batch)
+    det_err = max(
+        float(np.abs(adv.x_e[:, 1] - p_dist.eps).max()),
+        float(np.abs(adv.x_e[:, 2] - p_dist.eps).max()),
+        float(np.abs(adv.x_c[:, 0] - p_dist.eps).max()),
+    )
+    yield _check(
+        "adv_distribution_deterministic", {"eps": p_dist.eps}, 0.0, det_err, 1e-12,
+        "attacked zero-pattern coordinates sit exactly at eps")
+    stoch = np.concatenate([adv.x_e[:, 0], adv.x_c[:, 1], adv.x_c[:, 2]])
+    se_mean = p_dist.sigma / math.sqrt(len(stoch))
+    yield _check(
+        "adv_distribution_mean", {"eps": p_dist.eps}, p_dist.mu - p_dist.eps,
+        float(stoch.mean()), 4.0 * se_mean,
+        "attacked populated coordinates keep mean mu - eps")
+    var_se = p_dist.sigma ** 2 * math.sqrt(2.0 / (len(stoch) - 1))
+    yield _check(
+        "adv_distribution_var", {"eps": p_dist.eps}, p_dist.sigma ** 2,
+        float(stoch.var(ddof=1)), 4.0 * var_se,
+        "attacked populated coordinates keep variance sigma^2")
+
+
+def _pair_margins(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+    # Pairwise margin probability: spot values, monotonicity, MC agreement.
+    p_pm = SyntheticParams(mu=1.0, sigma=0.5, lam=base.lam, eps=0.25)
+    yield _check(
+        "pair_margin_spot", {"w": (1, 0)}, std_normal_cdf(1.0),
+        pair_margin_prob(p_pm, LinearHypothesis(1.0, 0.0)), 1e-12,
+        "single-weight spot value")
+    yield _check(
+        "pair_margin_spot", {"w": (1, 1)}, std_normal_cdf(math.sqrt(2.0)),
+        pair_margin_prob(p_pm, LinearHypothesis(1.0, 1.0)), 1e-12,
+        "equal-weight spot value")
+    probs = [pair_margin_prob(p_pm, LinearHypothesis(1.0, float(t)))
+             for t in np.linspace(0.0, 1.0, 11)]
+    monotone = all(b >= a - 1e-15 for a, b in zip([-1.0] + probs, probs))
+    yield CheckRecord(
+        "pair_margin_monotone", {"t_grid": "0..1 step 0.1"}, None, None, None,
+        "pass" if monotone else "fail",
+        "probability nondecreasing in the cross-class weight ratio")
+    mc_n = 1_000_000
+    h_pm = LinearHypothesis(1.0, 0.7)
+    closed_val = pair_margin_prob(p_pm, h_pm)
+    mc_prob = pair_margin_prob(p_pm, h_pm, method="mc", n_samples=mc_n,
+                               rng=RngStream(seed).split(6))
+    se = math.sqrt(max(closed_val * (1 - closed_val), 1e-12) / mc_n)
+    yield _check(
+        "pair_margin_mc", {"w2": 0.7, "n": mc_n}, closed_val, mc_prob, 3.0 * se,
+        "closed form (exact convention) vs MC simulation")
+    paper_val = pair_margin_prob(p_pm, h_pm, convention="paper")
+    yield CheckRecord(
+        "pair_margin_variance_convention", {"w2": 0.7}, closed_val, paper_val, None,
+        "info",
+        f"exact-convention {closed_val:.6f} (matches MC {mc_prob:.6f}); "
+        f"doubled-variance convention gives {paper_val:.6f}")
+
+
+def _replicated_groups(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+    # Replicated groups decouple.
+    group_params = [_at(base, eps=0.1 * base.mu), _at(base, eps=0.4 * base.mu)]
+    gv = replicate_groups(group_params, n_samples=mc_samples, rng=RngStream(seed).split(7),
+                          steps=oracle_steps)
+    scale = base.mu / base.lam
+    yield _check(
+        "group_decoupling", {"groups": 2, "eps": [p.eps for p in group_params]},
+        0.0, gv.max_abs_err, 0.05 * scale,
+        "joint projected GD over all group weights vs per-group closed forms")
+    w2_signs_ok = gv.joint_oracle[0].w2 > 0.05 * scale and gv.joint_oracle[1].w2 < 0.02 * scale
+    yield CheckRecord(
+        "group_threshold_split", {"eps": [p.eps for p in group_params]},
+        None, None, None, "pass" if w2_signs_ok else "fail",
+        "group below the collapse radius keeps w2 > 0; group above collapses")
+
+
+# In record order; each runs through ``_group_records``, as a generator does not pickle.
+_CHECK_GROUPS = (_max_gauss_mean, _threshold_signs, _oracle_minimizers, _loss_values,
+                 _smoothed_loss_values, _smoothed_w1_convention, _smoothed_thresholds,
+                 _smoothed_oracle, _delta_dominance, _adversarial_distribution,
+                 _pair_margins, _replicated_groups)
+
+
 def run_verification(base: SyntheticParams | None = None, seed: int = 0,
                      mc_samples: int = 200_000,
                      oracle_steps: int = 10_000) -> list[CheckRecord]:
@@ -484,226 +728,22 @@ def run_verification(base: SyntheticParams | None = None, seed: int = 0,
     Returns one record per check.  A record with status ``boundary`` marks a
     threshold probed exactly at its collapse radius (sign test undefined
     there); ``info`` records document convention choices with numbers but do
-    not gate success.
+    not gate success.  The check groups run in a pool of forked processes,
+    one per CPU this process may run on; with one CPU they run here.  Either
+    way the records are the same, in the same order.
     """
     if base is None:
         base = SyntheticParams()
-    root = RngStream(seed)
-    records: list[CheckRecord] = []
-    base_kwargs = dict(mu=base.mu, sigma=base.sigma, lam=base.lam)
-    e0 = collapse_radius(SyntheticParams(**base_kwargs))
+    jobs = [(group, base, seed, mc_samples, oracle_steps) for group in _CHECK_GROUPS]
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    if workers <= 1:
+        parts = map(_group_records, jobs)
+    else:
+        with _fork_pool(workers) as pool:
+            parts = list(pool.map(_group_records, jobs))
+    return [record for part in parts for record in part]
 
-    # E[max of two standard normals] = 1/sqrt(pi).
-    value, se = max_gauss_mean_mc(1_000_000, root.split(1))
-    records.append(_check(
-        "max_gauss_mean", {"n": 1_000_000}, 1.0 / math.sqrt(math.pi), value,
-        3.0 * se, "MC mean of max(X, Y) for X, Y iid N(0,1) vs 1/sqrt(pi)"))
 
-    # Cross-class weight collapse threshold: sign(w2*) == sign(radius - eps).
-    eps_grid = [(k + 1) / 10.0 * (base.mu / 2.0) for k in range(9)]
-    for eps_val in eps_grid:
-        p = SyntheticParams(eps=eps_val, **base_kwargs)
-        w2 = optimal_weights(p).w2
-        gap = e0 - eps_val
-        if abs(gap) <= 1e-12:
-            records.append(CheckRecord(
-                "threshold_sign", {"eps": eps_val}, 0.0, w2, None, "boundary",
-                "probed exactly at the collapse radius"))
-            continue
-        ok = (w2 > 0) == (gap > 0)
-        records.append(CheckRecord(
-            "threshold_sign", {"eps": eps_val}, float(gap > 0), float(w2 > 0),
-            None, "pass" if ok else "fail",
-            f"w2*={w2:.6g}, collapse radius {e0:.6g}"))
-
-    # Closed-form minimizers vs projected GD on frozen MC samples.
-    for eps_val in (0.05, 0.10, 0.15, 0.20, 0.30, 0.40):
-        eps_val = eps_val * base.mu
-        p = SyntheticParams(eps=eps_val, **base_kwargs)
-        best = optimal_weights(p)
-        coeff = frozen_linear_coefficients(p, mc_samples, root.split(2))
-        got = projected_gd_oracle(coeff, p.lam, steps=oracle_steps)
-        scale = base.mu / base.lam
-        records.append(_check(
-            "oracle_w1", {"eps": eps_val}, best.w1, got.w1, 0.05 * max(best.w1, 1e-12),
-            "projected-GD on frozen MC loss vs closed form"))
-        if best.w2 > 0.05 * scale:
-            records.append(_check(
-                "oracle_w2", {"eps": eps_val}, best.w2, got.w2, 0.05 * best.w2,
-                "projected-GD on frozen MC loss vs closed form"))
-        else:
-            ok = got.w2 < 0.02 * scale
-            records.append(CheckRecord(
-                "oracle_w2_collapsed", {"eps": eps_val}, 0.0, got.w2,
-                0.02 * scale, "pass" if ok else "fail",
-                "oracle cross-class weight stays near zero past the collapse radius"))
-
-    # Loss values: closed form vs straight MC, random hypothesis grid.
-    gen = root.split(3).generator
-    for k in range(5):
-        eps_val = float(gen.uniform(0.02, 0.48)) * base.mu
-        p = SyntheticParams(eps=eps_val, **base_kwargs)
-        h = LinearHypothesis(float(gen.uniform(0.0, 2.0)), float(gen.uniform(0.0, 2.0)))
-        margins = robust_margin_samples(p, h, mc_samples, root.split(10 + k))
-        reg = 0.5 * p.lam * (h.w1 ** 2 + h.w2 ** 2)
-        se = float(margins.std(ddof=1) / math.sqrt(len(margins)))
-        records.append(_check(
-            "loss_mc_vs_closed", {"eps": eps_val, "w1": h.w1, "w2": h.w2},
-            robust_loss_closed(p, h), float(margins.mean()) + reg, 3.0 * se + 1e-12,
-            "closed-form robust loss vs direct MC"))
-
-    # Smoothed loss: closed form vs MC, and the sign of the w1 coefficient.
-    for k, beta in enumerate((0.1, 0.2, 0.3)):
-        p = SyntheticParams(eps=0.2 * base.mu, beta=beta, **base_kwargs)
-        h = LinearHypothesis(1.0, 0.5)
-        values = ls_margin_samples(p, h, mc_samples, root.split(20 + k))
-        reg = 0.5 * p.lam * (h.w1 ** 2 + h.w2 ** 2)
-        se = float(values.std(ddof=1) / math.sqrt(len(values)))
-        records.append(_check(
-            "ls_loss_mc_vs_closed", {"beta": beta, "eps": p.eps},
-            robust_loss_closed(p, h), float(values.mean()) + reg, 3.0 * se + 1e-12,
-            "closed-form smoothed loss vs direct MC"))
-
-    # Document the linear-coefficient convention for the smoothed loss: the
-    # implemented c1 = (1-b)(2e-mu) - b*e agrees with MC; the variant that
-    # flips the sign of the mu term does not.
-    p_conv = SyntheticParams(eps=0.2 * base.mu, beta=0.2, **base_kwargs)
-    h_conv = LinearHypothesis(1.0, 0.5)
-    values = ls_margin_samples(p_conv, h_conv, mc_samples, root.split(29))
-    mc_val = float(values.mean()) + 0.5 * p_conv.lam * (h_conv.w1 ** 2 + h_conv.w2 ** 2)
-    implemented = robust_loss_closed(p_conv, h_conv)
-    alt = implemented + 2.0 * (1.0 - p_conv.beta) * p_conv.mu * h_conv.w1
-    records.append(CheckRecord(
-        "ls_w1_coefficient_convention", {"beta": p_conv.beta, "eps": p_conv.eps},
-        implemented, mc_val, None, "info",
-        f"|implemented - mc| = {abs(implemented - mc_val):.2e}; a sign-flipped "
-        f"mu term gives |alt - mc| = {abs(alt - mc_val):.2e}"))
-
-    # Smoothed threshold sits above the one-hot threshold; surplus identity.
-    for beta in (0.1, 0.2, 0.3):
-        p = SyntheticParams(eps=0.1 * base.mu, beta=beta, **base_kwargs)
-        e1 = collapse_radius(p)
-        records.append(CheckRecord(
-            "ls_threshold_above", {"beta": beta}, e0, e1, None,
-            "pass" if e1 > e0 else "fail",
-            f"smoothed collapse radius {e1:.6g} vs one-hot {e0:.6g}"
-            + (" (exceeds mu/2)" if e1 >= base.mu / 2 else "")))
-        surplus = beta * (2.0 * p.eps + p.sigma_term) / p.lam
-        diff = optimal_weights(p).w2 - optimal_weights(replace(p, beta=0.0)).w2
-        records.append(_check(
-            "ls_w2_surplus_identity", {"beta": beta, "eps": p.eps},
-            surplus, diff, 1e-12,
-            "smoothed-minus-plain cross-class weight vs beta(2eps+sigma/sqrt(pi))/lam"))
-
-    # Smoothed minimizer vs projected GD on the smoothed frozen MC loss.
-    p_ls = SyntheticParams(eps=0.2 * base.mu, beta=0.2, **base_kwargs)
-    best_ls = optimal_weights(p_ls)
-    coeff = frozen_linear_coefficients(p_ls, mc_samples, root.split(31))
-    got_ls = projected_gd_oracle(coeff, p_ls.lam, steps=oracle_steps)
-    records.append(_check(
-        "ls_oracle_w2", {"beta": p_ls.beta, "eps": p_ls.eps}, best_ls.w2, got_ls.w2,
-        0.05 * best_ls.w2, "projected-GD on frozen smoothed MC loss"))
-
-    # Analytic worst-case perturbation dominates random search.
-    gen = root.split(4).generator
-    violations = 0
-    for _ in range(100):
-        eps_val = float(gen.uniform(0.02, 0.48)) * base.mu
-        p = SyntheticParams(eps=eps_val, **base_kwargs)
-        h = LinearHypothesis(float(gen.uniform(0.0, 2.0)), float(gen.uniform(0.0, 2.0)))
-        class_i = int(gen.integers(1, 4))
-        one = sample(p, class_i, 1, RngStream(seed, int(gen.integers(0, 2 ** 32))))
-        delta = worst_case_delta(p, class_i=class_i)
-        best_val = margin_loss(h, one.x_e + delta[:3], one.x_c + delta[3:], one.labels)[0]
-        trial = gen.uniform(-p.eps, p.eps, size=(10_000, 6))
-        vals = margin_loss(
-            h,
-            one.x_e + trial[:, :3],
-            one.x_c + trial[:, 3:],
-            np.full(10_000, class_i, dtype=np.int64),
-        )
-        violations += int((vals > best_val + 1e-12).sum())
-    records.append(CheckRecord(
-        "delta_dominance", {"instances": 100, "trials": 10_000}, 0.0,
-        float(violations), 0.0, "pass" if violations == 0 else "fail",
-        "random-search perturbations never beat the analytic worst case"))
-
-    # Perturbed-sample distribution: deterministic coords exactly eps,
-    # stochastic coords match N(mu - eps, sigma^2) moments.
-    p_dist = SyntheticParams(eps=0.2 * base.mu, **base_kwargs)
-    batch = sample(p_dist, 1, 200_000, root.split(5))
-    adv = adversarial_batch(p_dist, batch)
-    det_err = max(
-        float(np.abs(adv.x_e[:, 1] - p_dist.eps).max()),
-        float(np.abs(adv.x_e[:, 2] - p_dist.eps).max()),
-        float(np.abs(adv.x_c[:, 0] - p_dist.eps).max()),
-    )
-    records.append(_check(
-        "adv_distribution_deterministic", {"eps": p_dist.eps}, 0.0, det_err, 1e-12,
-        "attacked zero-pattern coordinates sit exactly at eps"))
-    stoch = np.concatenate([adv.x_e[:, 0], adv.x_c[:, 1], adv.x_c[:, 2]])
-    se_mean = p_dist.sigma / math.sqrt(len(stoch))
-    records.append(_check(
-        "adv_distribution_mean", {"eps": p_dist.eps}, p_dist.mu - p_dist.eps,
-        float(stoch.mean()), 4.0 * se_mean,
-        "attacked populated coordinates keep mean mu - eps"))
-    var_se = p_dist.sigma ** 2 * math.sqrt(2.0 / (len(stoch) - 1))
-    records.append(_check(
-        "adv_distribution_var", {"eps": p_dist.eps}, p_dist.sigma ** 2,
-        float(stoch.var(ddof=1)), 4.0 * var_se,
-        "attacked populated coordinates keep variance sigma^2"))
-
-    # Pairwise margin probability: spot values, monotonicity, MC agreement.
-    p_pm = SyntheticParams(mu=1.0, sigma=0.5, lam=base.lam, eps=0.25)
-    records.append(_check(
-        "pair_margin_spot", {"w": (1, 0)}, std_normal_cdf(1.0),
-        pair_margin_prob(p_pm, LinearHypothesis(1.0, 0.0)), 1e-12,
-        "single-weight spot value"))
-    records.append(_check(
-        "pair_margin_spot", {"w": (1, 1)}, std_normal_cdf(math.sqrt(2.0)),
-        pair_margin_prob(p_pm, LinearHypothesis(1.0, 1.0)), 1e-12,
-        "equal-weight spot value"))
-    last = -1.0
-    monotone = True
-    for t in np.linspace(0.0, 1.0, 11):
-        prob = pair_margin_prob(p_pm, LinearHypothesis(1.0, float(t)))
-        monotone &= prob >= last - 1e-15
-        last = prob
-    records.append(CheckRecord(
-        "pair_margin_monotone", {"t_grid": "0..1 step 0.1"}, None, None, None,
-        "pass" if monotone else "fail",
-        "probability nondecreasing in the cross-class weight ratio"))
-    mc_n = 1_000_000
-    h_pm = LinearHypothesis(1.0, 0.7)
-    closed_val = pair_margin_prob(p_pm, h_pm)
-    mc_prob = pair_margin_prob(p_pm, h_pm, method="mc", n_samples=mc_n, rng=root.split(6))
-    se = math.sqrt(max(closed_val * (1 - closed_val), 1e-12) / mc_n)
-    records.append(_check(
-        "pair_margin_mc", {"w2": 0.7, "n": mc_n}, closed_val, mc_prob, 3.0 * se,
-        "closed form (exact convention) vs MC simulation"))
-    paper_val = pair_margin_prob(p_pm, h_pm, convention="paper")
-    records.append(CheckRecord(
-        "pair_margin_variance_convention", {"w2": 0.7}, closed_val, paper_val, None,
-        "info",
-        f"exact-convention {closed_val:.6f} (matches MC {mc_prob:.6f}); "
-        f"doubled-variance convention gives {paper_val:.6f}"))
-
-    # Replicated groups decouple.
-    group_params = [
-        SyntheticParams(eps=0.1 * base.mu, **base_kwargs),
-        SyntheticParams(eps=0.4 * base.mu, **base_kwargs),
-    ]
-    gv = replicate_groups(group_params, n_samples=mc_samples, rng=root.split(7),
-                          steps=oracle_steps)
-    scale = base.mu / base.lam
-    records.append(_check(
-        "group_decoupling", {"groups": 2, "eps": [p.eps for p in group_params]},
-        0.0, gv.max_abs_err, 0.05 * scale,
-        "joint projected GD over all group weights vs per-group closed forms"))
-    w2_signs_ok = gv.joint_oracle[0].w2 > 0.05 * scale and gv.joint_oracle[1].w2 < 0.02 * scale
-    records.append(CheckRecord(
-        "group_threshold_split", {"eps": [p.eps for p in group_params]},
-        None, None, None, "pass" if w2_signs_ok else "fail",
-        "group below the collapse radius keeps w2 > 0; group above collapses"))
-
-    return records
+def _group_records(job) -> list[CheckRecord]:
+    group, *args = job
+    return list(group(*args))

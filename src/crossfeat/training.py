@@ -52,7 +52,7 @@ from .data import Dataset
 from .model import (Classifier, CrossEntropy, Distillation, LabelSmoothing,
                     backward, forward, load_checkpoint, log_softmax,
                     save_checkpoint, sgd_step)
-from .numerics import RngStream
+from .numerics import RngStream, _fork_pool
 
 __all__ = [
     "EpochRow",
@@ -277,7 +277,7 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
                 best = (metrics["robust_acc"], epoch, snapshot)
         pending.clear()
 
-    with (_fork_pool(1, train_set, test_set) if pipelined
+    with (_fork_pool(1, _share_datasets, (train_set, test_set)) if pipelined
           else contextlib.nullcontext()) as pool:
         for epoch in range(cfg.epochs):
             lr = lr_at(epoch, cfg)
@@ -376,17 +376,6 @@ def _share_datasets(train_set: Dataset, test_set: Dataset) -> None:
     _worker_datasets = (train_set, test_set)
 
 
-def _fork_pool(workers: int, train_set: Dataset, test_set: Dataset):
-    """A pool of ``workers`` forked processes that inherit the datasets."""
-    # Imported here: importing crossfeat loads no process-pool machinery.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_share_datasets,
-                               initargs=(train_set, test_set))
-
-
 def _attempt_shared(model: Classifier, cfg: TrainConfig) -> RunRecord | Exception:
     return _attempt(model, cfg, *_worker_datasets)
 
@@ -409,7 +398,7 @@ def train_many(jobs, train_set: Dataset,
     workers = min(len(os.sched_getaffinity(0)), len(jobs))
     if workers <= 1:
         return [_attempt(model, cfg, train_set, test_set) for model, cfg in jobs]
-    with _fork_pool(workers, train_set, test_set) as pool:
+    with _fork_pool(workers, _share_datasets, (train_set, test_set)) as pool:
         futures = [pool.submit(_attempt_shared, model, cfg) for model, cfg in jobs]
         # A broken pool fails the jobs it did not finish, as their results.
         return [future.exception() or future.result() for future in futures]

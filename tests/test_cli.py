@@ -221,6 +221,28 @@ class TestEvalCmd:
         assert cli.main(["eval", "--config", path]) == 1
 
 
+class TestTestSplitCommands:
+    """eval and attribution read only the test split of tabular data."""
+
+    def test_missing_train_file_is_not_read(self, tmp_path):
+        data_dir = str(tmp_path / "data")
+        cmd_gen_data(base_config(), out_dir=data_dir)
+        run_dir = str(tmp_path / "run")
+        cmd_train(base_config(), out_dir=run_dir)
+        ckpt = f"{run_dir}/best.ckpt"
+        tabular = {"train_path": str(tmp_path / "missing.csv"),
+                   "test_path": f"{data_dir}/test.csv"}
+        planted = base_config(eval={"checkpoint": ckpt},
+                              attribution={"checkpoint": ckpt})
+        config = dict(planted, data=tabular)
+        assert cmd_eval(config).summary == cmd_eval(planted).summary
+        assert cmd_attribution(config).summary == cmd_attribution(planted).summary
+        # The train path is still required by the config check.
+        for command in (cmd_eval, cmd_attribution):
+            with pytest.raises(ConfigError, match="train_path"):
+                command(dict(config, data={"test_path": tabular["test_path"]}))
+
+
 class TestAttributionCmd:
     @pytest.fixture()
     def run_dir(self, tmp_path):

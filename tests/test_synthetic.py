@@ -2,13 +2,14 @@
 
 import json
 import math
+import os
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from crossfeat.numerics import RngStream, std_normal_cdf
-from crossfeat.synthetic import (CheckRecord, GroupVerification,
+from crossfeat.synthetic import (CLASSES, CheckRecord, GroupVerification,
                                  LinearHypothesis, SyntheticParams,
                                  adversarial_batch, collapse_radius,
                                  frozen_linear_coefficients, linear_classifier,
@@ -87,6 +88,18 @@ class TestSampling:
         assert counts.sum() == 9_000
         assert np.all(np.abs(counts - 3_000) < 5.0 * math.sqrt(9_000 * (1 / 3) * (2 / 3)))
 
+    def test_mixed_rows_are_the_per_class_draws(self):
+        p = SyntheticParams(eps=0.1, **DEFAULTS)
+        rng = RngStream(3, stream_id=70)
+        batch = sample_mixed(p, 500, rng)
+        assert np.array_equal(batch.labels,
+                              rng.split(0).generator.integers(1, 4, size=500))
+        for class_i in CLASSES:
+            rows = batch.labels == class_i
+            part = sample(p, class_i, int(rows.sum()), rng.split(class_i))
+            assert np.array_equal(batch.x_e[rows], part.x_e)
+            assert np.array_equal(batch.x_c[rows], part.x_c)
+
     def test_invalid_arguments(self):
         p = SyntheticParams(**DEFAULTS)
         with pytest.raises(ValueError, match="class"):
@@ -153,16 +166,21 @@ class TestWorstCaseDelta:
             assert vals.max() <= best + 1e-12
 
     def test_adversarial_batch_applies_per_class_delta(self):
+        # Bit for bit: each row is the sample plus its class's delta.
         p = SyntheticParams(eps=0.3, **DEFAULTS)
-        batch = sample_mixed(p, 50, RngStream(7, stream_id=70))
+        batch = sample_mixed(p, 200, RngStream(7, stream_id=70))
         adv = adversarial_batch(p, batch)
-        for class_i in (1, 2, 3):
-            mask = batch.labels == class_i
-            delta = worst_case_delta(p, class_i=class_i)
-            assert np.allclose(adv.x_e[mask], batch.x_e[mask] + delta[:3],
-                               atol=1e-15)
-            assert np.allclose(adv.x_c[mask], batch.x_c[mask] + delta[3:],
-                               atol=1e-15)
+        assert np.array_equal(adv.labels, batch.labels)
+        for row, label in enumerate(batch.labels):
+            delta = worst_case_delta(p, class_i=int(label))
+            assert np.array_equal(adv.x_e[row], batch.x_e[row] + delta[:3])
+            assert np.array_equal(adv.x_c[row], batch.x_c[row] + delta[3:])
+        assert not np.shares_memory(adv.x_e, batch.x_e)
+
+    def test_delta_signs_of_zero_radius(self):
+        # eps = 0 keeps the signed zeros of the -eps / +eps pattern.
+        delta = worst_case_delta(SyntheticParams(**DEFAULTS), class_i=2)
+        assert np.signbit(delta).tolist() == [False, True, False, True, False, True]
 
 
 class TestRobustLoss:
@@ -254,6 +272,45 @@ class TestProjectedGdOracle:
         with pytest.raises(ValueError, match="lam"):
             projected_gd_oracle(np.zeros((1, 2)), lam=0.0)
 
+    @pytest.mark.parametrize("coefficients", [np.zeros((0, 2)), np.zeros(2),
+                                              np.zeros((3, 3)),
+                                              np.array([[np.nan, 0.0]]),
+                                              np.array([[0.0, np.inf]])])
+    def test_rejects_empty_misshapen_or_non_finite_coefficients(self, coefficients):
+        with pytest.raises(ValueError, match="coefficients"):
+            projected_gd_oracle(coefficients, lam=0.1)
+
+    def test_rejects_negative_steps(self):
+        with pytest.raises(ValueError, match="steps"):
+            projected_gd_oracle(np.zeros((1, 2)), lam=0.1, steps=-1)
+        assert projected_gd_oracle(np.array([[-1.0, 1.0]]), lam=1.0,
+                                   steps=0) == LinearHypothesis(0.0, 0.0)
+
+    @staticmethod
+    def numpy_reference(coefficients, lam, steps):
+        # Every step of the iteration on the whole weight vector, in numpy.
+        mean_c = np.asarray(coefficients, dtype=np.float64).mean(axis=0)
+        eta = 0.01 / lam
+        w = np.zeros(2)
+        for _ in range(steps):
+            w = np.maximum(0.0, w - eta * (mean_c + lam * w))
+        return LinearHypothesis(float(w[0]), float(w[1]))
+
+    @pytest.mark.parametrize("steps", [100, 3_000, 10_000])
+    def test_equals_the_numpy_iteration_bit_for_bit(self, steps):
+        cases = [(frozen_linear_coefficients(SyntheticParams(eps=eps, **DEFAULTS),
+                                             5_000, RngStream(11, stream_id=70)), lam)
+                 for eps in (0.05, 0.2, 0.35) for lam in (1.0, 0.1)]
+        cases.append((RngStream(12, stream_id=70).generator.normal(size=(7, 2)), 0.3))
+        for coefficients, lam in cases:
+            got = projected_gd_oracle(coefficients, lam, steps=steps)
+            want = self.numpy_reference(coefficients, lam, steps)
+            assert (got.w1.hex(), got.w2.hex()) == (want.w1.hex(), want.w2.hex())
+
+    def test_frozen_coefficients_need_a_sample(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            frozen_linear_coefficients(SyntheticParams(**DEFAULTS), 0, RngStream(0))
+
     def test_recovers_closed_form_from_frozen_mc_samples(self):
         p = SyntheticParams(eps=0.1, **DEFAULTS)
         coeff = frozen_linear_coefficients(p, 200_000, RngStream(12, stream_id=70))
@@ -307,6 +364,9 @@ class TestPairMarginProb:
             pair_margin_prob(self.P, LinearHypothesis(1.0, 0.5), method="x")
         with pytest.raises(ValueError, match="rng"):
             pair_margin_prob(self.P, LinearHypothesis(1.0, 0.5), method="mc")
+        with pytest.raises(ValueError, match="n_samples"):
+            pair_margin_prob(self.P, LinearHypothesis(1.0, 0.5), method="mc",
+                             n_samples=0, rng=RngStream(0))
 
 
 class TestMaxGaussMean:
@@ -314,6 +374,10 @@ class TestMaxGaussMean:
         value, se = max_gauss_mean_mc(200_000, RngStream(15, stream_id=70))
         assert se > 0
         assert abs(value - 1.0 / math.sqrt(math.pi)) <= 3.0 * se
+
+    def test_needs_two_samples_for_a_standard_error(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            max_gauss_mean_mc(1, RngStream(0))
 
 
 class TestReplicateGroups:
@@ -374,3 +438,30 @@ class TestRunVerification:
                                      "pair_margin_variance_convention")]
         assert len(conventions) == 2
         assert all(r.status == "info" for r in conventions)
+
+
+class TestParallelChecks:
+    """With more than one CPU the check groups run in forked workers; the
+    records, and the error of a failing group, are those of the inline run."""
+
+    @staticmethod
+    def run(monkeypatch, cpus, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            return run_verification(**kwargs)
+
+    def test_one_and_two_cpus_give_equal_records(self, monkeypatch):
+        kwargs = dict(base=SyntheticParams(mu=1.5, sigma=1.0, lam=0.5), seed=4,
+                      mc_samples=3_000, oracle_steps=300)
+        inline = [asdict(r) for r in self.run(monkeypatch, 1, **kwargs)]
+        pooled = [asdict(r) for r in self.run(monkeypatch, 2, **kwargs)]
+        assert pooled == inline
+        assert len(inline) == 49
+
+    def test_a_group_error_surfaces_unchanged(self, monkeypatch):
+        errors = []
+        for cpus in (1, 2):
+            with pytest.raises(ValueError) as info:
+                self.run(monkeypatch, cpus, mc_samples=0, oracle_steps=10)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1] == (ValueError, "n_samples must be at least 1, got 0")
