@@ -16,6 +16,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +104,44 @@ def _fork_pool(workers: int, initializer=None, initargs=()):
 
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=initializer, initargs=initargs)
+
+
+def _run_jobs(function, jobs, initializer=None, initargs=()) -> list:
+    """``function(*job)`` or the exception it raised, for each job in order.
+
+    The jobs run in forked workers, one per usable CPU (at most one per job),
+    which run ``initializer(*initargs)`` first and find the jobs in their
+    forked memory, so only results are pickled.  With one worker they run
+    here, without the initializer.  A broken pool fails its unfinished jobs.
+    """
+    jobs = list(jobs)
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    if workers <= 1:
+        return [_outcome(function, job) for job in jobs]
+    with _fork_pool(workers, _hold_jobs, (function, jobs, initializer, initargs)) as pool:
+        futures = [pool.submit(_run_held, index) for index in range(len(jobs))]
+        return [future.exception() or future.result() for future in futures]
+
+
+_held_jobs = None  # (function, jobs) in a _run_jobs worker
+
+
+def _hold_jobs(function, jobs, initializer, initargs) -> None:
+    global _held_jobs
+    _held_jobs = (function, jobs)
+    if initializer is not None:
+        initializer(*initargs)
+
+
+def _run_held(index: int):
+    return _outcome(_held_jobs[0], _held_jobs[1][index])
+
+
+def _outcome(function, job):
+    try:
+        return function(*job)
+    except Exception as exc:  # the job's failure is its result
+        return exc
 
 
 def std_normal_cdf(x: float) -> float:

@@ -34,14 +34,13 @@ quantity from raw samples without using the formula under test;
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import Affine, Classifier
-from .numerics import RngStream, _fork_pool, as_array, std_normal_cdf
+from .numerics import RngStream, _run_jobs, as_array, std_normal_cdf
 
 __all__ = [
     "CheckRecord",
@@ -123,11 +122,26 @@ class LinearHypothesis:
 
 @dataclass
 class SyntheticBatch:
-    """A batch of samples stored columnwise: x_e, x_c are (n, 3), labels in {1,2,3}."""
+    """A batch of samples stored columnwise: x_e, x_c are (n, 3), labels in {1,2,3}.
+
+    Construction rejects any other shape or label, and holds x_e and x_c as
+    C-ordered float64 arrays (the given ones when they already are).
+    """
 
     x_e: np.ndarray
     x_c: np.ndarray
     labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        labels = self.labels = np.asarray(self.labels)
+        if labels.ndim != 1 or labels.dtype.kind not in "iu" or (
+                len(labels) and not (labels.min() >= 1 and labels.max() <= 3)):
+            raise ValueError(f"labels must be a 1-D integer array with entries in {CLASSES}")
+        for name in ("x_e", "x_c"):
+            block = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if block.shape != (len(labels), 3):
+                raise ValueError(f"{name} must have shape ({len(labels)}, 3), got {block.shape}")
+            setattr(self, name, block)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -137,40 +151,62 @@ class SyntheticBatch:
         return np.hstack([self.x_e, self.x_c])
 
 
+def _positions(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Flat positions, in a C-ordered (n, 3) array, of each row's own column
+    # and of its two other columns, the lower one first.  np.maximum and
+    # np.minimum of the two others, in this order, select what a reduction
+    # along the row selects, signed zeros included.
+    idx = labels - 1
+    start = np.arange(0, 3 * len(idx), 3)
+    return start + idx, start + (idx == 0), start + 2 - (idx == 2)
+
+
+def _fill_class(params: SyntheticParams, class_i: int, rng: RngStream, rows, n: int,
+                x_e: np.ndarray, x_c: np.ndarray) -> None:
+    # Draws the populated coordinates of the n ``rows``, all of class
+    # ``class_i``, in place: x_E,own first, then the other two x_C in order.
+    gen = rng.generator
+    x_e[rows, class_i - 1] = gen.normal(params.mu, params.sigma, size=n)
+    for j in range(3):
+        if j != class_i - 1:
+            x_c[rows, j] = gen.normal(params.mu, params.sigma, size=n)
+
+
 def sample(params: SyntheticParams, class_i: int, n: int, rng: RngStream) -> SyntheticBatch:
     """Draw n samples of one class; off-pattern coordinates are exactly zero."""
     if class_i not in CLASSES:
         raise ValueError(f"class must be one of {CLASSES}, got {class_i}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    gen = rng.generator
     x_e = np.zeros((n, 3))
     x_c = np.zeros((n, 3))
-    idx = class_i - 1
-    x_e[:, idx] = gen.normal(params.mu, params.sigma, size=n)
-    for j in range(3):
-        if j != idx:
-            x_c[:, j] = gen.normal(params.mu, params.sigma, size=n)
+    _fill_class(params, class_i, rng, slice(None), n, x_e, x_c)
     return SyntheticBatch(x_e, x_c, np.full(n, class_i, dtype=np.int64))
 
 
 def sample_mixed(params: SyntheticParams, n: int, rng: RngStream) -> SyntheticBatch:
-    """Draw n samples with uniformly random labels (one stream per class)."""
+    """Draw n samples with uniformly random labels (one stream per class).
+
+    The rows of class i hold, in order, what ``sample(params, i, count,
+    rng.split(i))`` would draw; they are filled in place."""
     labels = rng.split(0).generator.integers(1, 4, size=n)
     x_e = np.zeros((n, 3))
     x_c = np.zeros((n, 3))
     for class_i in CLASSES:
         rows = np.flatnonzero(labels == class_i)
-        part = sample(params, class_i, len(rows), rng.split(class_i))
-        x_e[rows] = part.x_e
-        x_c[rows] = part.x_c
+        _fill_class(params, class_i, rng.split(class_i), rows, len(rows), x_e, x_c)
     return SyntheticBatch(x_e, x_c, labels.astype(np.int64))
 
 
 def linear_logits(hypothesis: LinearHypothesis, x_e: np.ndarray, x_c: np.ndarray) -> np.ndarray:
     """All three logits for a batch, shape (n, 3)."""
-    totals = x_c.sum(axis=1, keepdims=True)
-    return hypothesis.w1 * x_e + hypothesis.w2 * (totals - x_c)
+    return hypothesis.w1 * x_e + hypothesis.w2 * (_row_sums(x_c)[:, None] - x_c)
+
+
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    # block.sum(axis=1) of an (n, 3) array bit for bit, which adds the columns
+    # in order to +0.0, without the reduction's per-row overhead.
+    return 0.0 + block[:, 0] + block[:, 1] + block[:, 2]
 
 
 def linear_classifier(hypothesis: LinearHypothesis) -> Classifier:
@@ -197,22 +233,33 @@ def worst_case_delta(params: SyntheticParams, class_i: int = 1) -> np.ndarray:
 
 def margin_loss(hypothesis: LinearHypothesis, x_e: np.ndarray, x_c: np.ndarray,
                 labels: np.ndarray) -> np.ndarray:
-    """Per-sample margin loss max_{j != label} f_j - f_label, shape (n,)."""
-    logits = linear_logits(hypothesis, x_e, x_c)
-    idx = np.asarray(labels, dtype=np.int64) - 1
-    n = len(idx)
-    own = logits[np.arange(n), idx]
-    masked = logits.copy()
-    masked[np.arange(n), idx] = -np.inf
-    return masked.max(axis=1) - own
+    """Per-sample margin loss max_{j != label} f_j - f_label, shape (n,).
+
+    The arguments must form a :class:`SyntheticBatch`."""
+    return _margins(hypothesis, SyntheticBatch(x_e, x_c, labels))[0]
+
+
+def _margins(hypothesis: LinearHypothesis, batch: SyntheticBatch):
+    # The batch's margin losses, its logits and each sample's own logit.
+    logits = linear_logits(hypothesis, batch.x_e, batch.x_c)
+    own, lower, upper = _positions(batch.labels)
+    own_logit = np.take(logits, own)
+    return (np.maximum(np.take(logits, lower), np.take(logits, upper)) - own_logit,
+            logits, own_logit)
 
 
 def adversarial_batch(params: SyntheticParams, batch: SyntheticBatch) -> SyntheticBatch:
-    """Apply each sample's analytic worst-case perturbation in place of delta search."""
-    deltas = np.array([worst_case_delta(params, class_i) for class_i in CLASSES])
-    rows = deltas[batch.labels - 1]
-    return SyntheticBatch(batch.x_e + rows[:, :3], batch.x_c + rows[:, 3:],
-                          batch.labels.copy())
+    """Apply each sample's analytic worst-case perturbation in place of delta search.
+
+    Row for row this is the sample plus ``worst_case_delta`` of its class:
+    the own column moves by -eps in x_E and +eps in x_C, every other column
+    the opposite way (x - eps is x + (-eps) bit for bit)."""
+    own = _positions(batch.labels)[0]
+    x_e = batch.x_e + params.eps
+    x_e.ravel()[own] = np.take(batch.x_e, own) - params.eps
+    x_c = batch.x_c - params.eps
+    x_c.ravel()[own] = np.take(batch.x_c, own) + params.eps
+    return SyntheticBatch(x_e, x_c, batch.labels.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -223,25 +270,24 @@ def adversarial_batch(params: SyntheticParams, batch: SyntheticBatch) -> Synthet
 def robust_margin_samples(params: SyntheticParams, hypothesis: LinearHypothesis,
                           n_samples: int, rng: RngStream) -> np.ndarray:
     """Per-sample worst-case margin losses for uniformly-labeled draws."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    batch = sample_mixed(params, n_samples, rng)
-    adv = adversarial_batch(params, batch)
-    return margin_loss(hypothesis, adv.x_e, adv.x_c, adv.labels)
+    return _margins(hypothesis, adversarial_batch(params, _draw(params, n_samples, rng)))[0]
 
 
 def ls_margin_samples(params: SyntheticParams, hypothesis: LinearHypothesis,
                       n_samples: int, rng: RngStream) -> np.ndarray:
     """Per-sample smoothed objective: (1-beta) * worst-case margin minus
     beta/2 * sum of the off-class logits, both at the margin-maximizing delta."""
+    margins, logits, own_logit = _margins(
+        hypothesis, adversarial_batch(params, _draw(params, n_samples, rng)))
+    off_sum = _row_sums(logits) - own_logit
+    return (1.0 - params.beta) * margins - 0.5 * params.beta * off_sum
+
+
+def _draw(params: SyntheticParams, n_samples: int, rng: RngStream) -> SyntheticBatch:
+    # A sample set for the Monte-Carlo oracles, which need at least one sample.
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    batch = sample_mixed(params, n_samples, rng)
-    adv = adversarial_batch(params, batch)
-    margins = margin_loss(hypothesis, adv.x_e, adv.x_c, adv.labels)
-    logits = linear_logits(hypothesis, adv.x_e, adv.x_c)
-    off_sum = logits.sum(axis=1) - logits[np.arange(len(adv)), adv.labels - 1]
-    return (1.0 - params.beta) * margins - 0.5 * params.beta * off_sum
+    return sample_mixed(params, n_samples, rng)
 
 
 def robust_loss_closed(params: SyntheticParams, hypothesis: LinearHypothesis) -> float:
@@ -298,28 +344,26 @@ def frozen_linear_coefficients(params: SyntheticParams, n_samples: int,
     w1 coefficient (eps), so for any w >= 0 the per-sample worst-case margin
     is linear in w with coefficients independent of w; the same holds for the
     smoothed objective.  This lets a frozen sample set define a deterministic
-    convex problem for :func:`projected_gd_oracle`.
+    convex problem for :func:`projected_gd_oracle`.  The draw reads only mu
+    and sigma, so one stream gives the same samples at every eps and beta.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    return _coefficients(params, _draw(params, n_samples, rng))
+
+
+def _coefficients(params: SyntheticParams, batch: SyntheticBatch) -> np.ndarray:
+    # frozen_linear_coefficients of an unattacked batch drawn at params' mu, sigma.
     beta = params.beta
-    batch = sample_mixed(params, n_samples, rng)
     adv = adversarial_batch(params, batch)
-    idx = adv.labels - 1
-    rows = np.arange(len(adv))
-    own_e = adv.x_e[rows, idx]
-    own_c = adv.x_c[rows, idx]
-    other_c = adv.x_c.copy()
-    other_c[rows, idx] = np.inf
-    min_other = other_c.min(axis=1)
+    own, lower, upper = _positions(adv.labels)
+    own_c = np.take(adv.x_c, own)
     # Margin coefficients: own-class evidence enters with eps - x_E,own; the
     # shared block contributes x_C,own - min over the other shared coords.
-    c1 = params.eps - own_e
-    c2 = own_c - min_other
+    c1 = params.eps - np.take(adv.x_e, own)
+    c2 = own_c - np.minimum(np.take(adv.x_c, lower), np.take(adv.x_c, upper))
     if beta:
         # Off-class logits sum to 2*eps*w1 + (sum(x_C) + x_C,own)*w2: coordinate
         # j != own appears in exactly one off-class logit, own in both.
-        off_w2 = adv.x_c.sum(axis=1) + own_c
+        off_w2 = _row_sums(adv.x_c) + own_c
         c1 = (1.0 - beta) * c1 - beta * params.eps
         c2 = (1.0 - beta) * c2 - 0.5 * beta * off_w2
     return np.column_stack([c1, c2])
@@ -512,12 +556,13 @@ def _threshold_signs(base, seed, mc_samples, oracle_steps) -> Iterator[CheckReco
 
 
 def _oracle_minimizers(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
-    # Closed-form minimizers vs projected GD on frozen MC samples.
+    # Closed-form minimizers vs projected GD on frozen MC samples: the
+    # frozen_linear_coefficients of one stream, so one draw serves every radius.
+    batch = _draw(base, mc_samples, RngStream(seed).split(2))
     for eps_val in [f * base.mu for f in (0.05, 0.10, 0.15, 0.20, 0.30, 0.40)]:
         p = _at(base, eps=eps_val)
         best = optimal_weights(p)
-        coeff = frozen_linear_coefficients(p, mc_samples, RngStream(seed).split(2))
-        got = projected_gd_oracle(coeff, p.lam, steps=oracle_steps)
+        got = projected_gd_oracle(_coefficients(p, batch), p.lam, steps=oracle_steps)
         scale = base.mu / base.lam
         yield _check(
             "oracle_w1", {"eps": eps_val}, best.w1, got.w1, 0.05 * max(best.w1, 1e-12),
@@ -734,16 +779,13 @@ def run_verification(base: SyntheticParams | None = None, seed: int = 0,
     """
     if base is None:
         base = SyntheticParams()
-    jobs = [(group, base, seed, mc_samples, oracle_steps) for group in _CHECK_GROUPS]
-    workers = min(len(os.sched_getaffinity(0)), len(jobs))
-    if workers <= 1:
-        parts = map(_group_records, jobs)
-    else:
-        with _fork_pool(workers) as pool:
-            parts = list(pool.map(_group_records, jobs))
+    parts = _run_jobs(_group_records, [(group, base, seed, mc_samples, oracle_steps)
+                                       for group in _CHECK_GROUPS])
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
     return [record for part in parts for record in part]
 
 
-def _group_records(job) -> list[CheckRecord]:
-    group, *args = job
+def _group_records(group, *args) -> list[CheckRecord]:
     return list(group(*args))

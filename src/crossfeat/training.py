@@ -52,7 +52,7 @@ from .data import Dataset
 from .model import (Classifier, CrossEntropy, Distillation, LabelSmoothing,
                     backward, forward, load_checkpoint, log_softmax,
                     save_checkpoint, sgd_step)
-from .numerics import RngStream, _fork_pool
+from .numerics import RngStream, _fork_pool, _run_jobs
 
 __all__ = [
     "EpochRow",
@@ -358,14 +358,6 @@ def save_records(rows: list[EpochRow], path: str) -> None:
             fh.write(json.dumps(asdict(row), sort_keys=True) + "\n")
 
 
-def _attempt(model: Classifier, cfg: TrainConfig, train_set: Dataset,
-             test_set: Dataset) -> RunRecord | Exception:
-    try:
-        return train(model.copy(), train_set, test_set, cfg)
-    except Exception as exc:  # the job's failure is its result
-        return exc
-
-
 # Set in each pool worker by the initializer; fork hands the datasets over
 # without pickling them.
 _worker_datasets: tuple[Dataset, Dataset] | None = None
@@ -374,10 +366,6 @@ _worker_datasets: tuple[Dataset, Dataset] | None = None
 def _share_datasets(train_set: Dataset, test_set: Dataset) -> None:
     global _worker_datasets
     _worker_datasets = (train_set, test_set)
-
-
-def _attempt_shared(model: Classifier, cfg: TrainConfig) -> RunRecord | Exception:
-    return _attempt(model, cfg, *_worker_datasets)
 
 
 def _evaluate_shared(model: Classifier, *job):
@@ -394,14 +382,14 @@ def train_many(jobs, train_set: Dataset,
     job), which inherit the datasets; with one CPU or one job they run here,
     one after another.
     """
-    jobs = list(jobs)
-    workers = min(len(os.sched_getaffinity(0)), len(jobs))
-    if workers <= 1:
-        return [_attempt(model, cfg, train_set, test_set) for model, cfg in jobs]
-    with _fork_pool(workers, _share_datasets, (train_set, test_set)) as pool:
-        futures = [pool.submit(_attempt_shared, model, cfg) for model, cfg in jobs]
-        # A broken pool fails the jobs it did not finish, as their results.
-        return [future.exception() or future.result() for future in futures]
+    # The initializer marks the workers: they train without pipelined epochs.
+    return _run_jobs(_train_copy, [(model, cfg, train_set, test_set) for model, cfg in jobs],
+                     _share_datasets, (train_set, test_set))
+
+
+def _train_copy(model: Classifier, cfg: TrainConfig, train_set: Dataset,
+                test_set: Dataset) -> RunRecord:
+    return train(model.copy(), train_set, test_set, cfg)
 
 
 def detect_collapse(rows: list[EpochRow], rise: float = 0.2,

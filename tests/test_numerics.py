@@ -1,13 +1,16 @@
-"""Tests for RNG streams, the normal CDF, and small vector helpers."""
+"""Tests for RNG streams, the normal CDF, small vector helpers and the job
+runner."""
 
 import math
+import operator
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crossfeat.numerics import (RngStream, as_array, cosine_similarity,
+from crossfeat.numerics import (RngStream, _run_jobs, as_array, cosine_similarity,
                                 std_normal_cdf, unit_rows)
 
 # Reference values computed with mpmath.ncdf at 20 significant digits.
@@ -129,3 +132,36 @@ class TestUnitRows:
     def test_zero_rows_stay_zero(self):
         rows = unit_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert np.array_equal(rows[0], [0.0, 0.0])
+
+
+class TestRunJobs:
+    """Each job's result or exception, in job order, from forked workers that
+    find the jobs in their memory, or from this process with one CPU."""
+
+    @staticmethod
+    def run(monkeypatch, cpus, *args):
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            return _run_jobs(*args)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_results_and_errors_in_job_order(self, monkeypatch, cpus):
+        got = self.run(monkeypatch, cpus, divmod, [(7, 2), (1, 0), (9, 4)])
+        assert got[0] == (3, 1) and got[2] == (2, 1)
+        assert type(got[1]) is ZeroDivisionError
+
+    def test_jobs_reach_the_workers_without_pickling(self, monkeypatch):
+        # A lambda does not pickle; the forked workers find it in memory.
+        jobs = [(lambda k=k: k * k,) for k in range(4)]
+        assert self.run(monkeypatch, 2, operator.call, jobs) == [0, 1, 4, 9]
+
+    @pytest.mark.parametrize("cpus, jobs, seen", [(1, 2, None), (2, 1, None),
+                                                  (2, 2, "worker")])
+    def test_the_initializer_runs_in_the_workers_only(self, monkeypatch, cpus, jobs,
+                                                      seen):
+        key = "CROSSFEAT_RUN_JOBS_TEST"
+        monkeypatch.delenv(key, raising=False)
+        got = self.run(monkeypatch, cpus, os.environ.get, [(key,)] * jobs,
+                       os.environ.__setitem__, (key, "worker"))
+        assert got == [seen] * jobs
+        assert key not in os.environ

@@ -8,9 +8,10 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from crossfeat import synthetic
 from crossfeat.numerics import RngStream, std_normal_cdf
 from crossfeat.synthetic import (CLASSES, CheckRecord, GroupVerification,
-                                 LinearHypothesis, SyntheticParams,
+                                 LinearHypothesis, SyntheticBatch, SyntheticParams,
                                  adversarial_batch, collapse_radius,
                                  frozen_linear_coefficients, linear_classifier,
                                  linear_logits, ls_margin_samples, margin_loss,
@@ -465,3 +466,258 @@ class TestParallelChecks:
                 self.run(monkeypatch, cpus, mc_samples=0, oracle_steps=10)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1] == (ValueError, "n_samples must be at least 1, got 0")
+
+
+class TestBatchValidation:
+    """A batch holds (n, 3) blocks and labels in {1, 2, 3}; anything else is
+    rejected with an error that names the field."""
+
+    @staticmethod
+    def blocks(n=2):
+        return np.ones((n, 3)), np.ones((n, 3))
+
+    @pytest.mark.parametrize("labels", [[0, 1], [4], [1, 2, 3, 4], [-1, 2]])
+    def test_labels_outside_the_classes(self, labels):
+        # adversarial_batch gave label 0 class 3's delta and label 4 an
+        # IndexError; margin_loss wrapped both around silently.
+        x_e, x_c = self.blocks(len(labels))
+        with pytest.raises(ValueError, match="^labels must"):
+            SyntheticBatch(x_e, x_c, np.array(labels))
+        with pytest.raises(ValueError, match="^labels must"):
+            margin_loss(LinearHypothesis(1.0, 0.5), x_e, x_c, np.array(labels))
+
+    @pytest.mark.parametrize("labels", [np.array([1.0, 2.0]), np.array([[1, 2]]),
+                                        np.array(["1", "2"])])
+    def test_labels_that_are_not_a_vector_of_integers(self, labels):
+        x_e, x_c = self.blocks()
+        with pytest.raises(ValueError, match="^labels must"):
+            SyntheticBatch(x_e, x_c, labels)
+
+    @pytest.mark.parametrize("field, shape", [("x_e", (2, 2)), ("x_e", (3, 3)),
+                                              ("x_c", (2,)), ("x_c", (2, 3, 1))])
+    def test_blocks_of_the_wrong_shape(self, field, shape):
+        blocks = dict(zip(("x_e", "x_c"), self.blocks()))
+        blocks[field] = np.ones(shape)
+        with pytest.raises(ValueError, match=f"^{field} must have shape \\(2, 3\\)"):
+            SyntheticBatch(labels=np.array([1, 3]), **blocks)
+
+    def test_margin_loss_needs_one_label_per_row(self):
+        x_e, x_c = self.blocks(3)
+        with pytest.raises(ValueError, match="^x_e must have shape \\(2, 3\\)"):
+            margin_loss(LinearHypothesis(1.0, 0.5), x_e, x_c, np.array([1, 2]))
+
+    def test_blocks_are_stored_c_ordered_without_changing_a_value(self):
+        rows = RngStream(1).generator.normal(size=(4, 6))
+        batch = SyntheticBatch(rows[:, :3], np.asfortranarray(rows[:, 3:]),
+                               np.array([1, 2, 3, 1], dtype=np.int32))
+        assert batch.x_e.flags.c_contiguous and batch.x_c.flags.c_contiguous
+        assert np.array_equal(batch.inputs(), rows)
+        owned = sample(SyntheticParams(**DEFAULTS), 2, 3, RngStream(2))
+        assert SyntheticBatch(owned.x_e, owned.x_c, owned.labels).x_e is owned.x_e
+
+    def test_an_empty_batch_is_valid(self):
+        batch = SyntheticBatch(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=int))
+        assert len(batch) == 0
+        assert margin_loss(LinearHypothesis(1.0, 0.5), batch.x_e, batch.x_c,
+                           batch.labels).shape == (0,)
+
+
+# The formulations that exact column selection replaced, kept verbatim: a
+# masked copy reduced along the row, and numpy's row sum.
+
+def _old_linear_logits(h, x_e, x_c):
+    totals = x_c.sum(axis=1, keepdims=True)
+    return h.w1 * x_e + h.w2 * (totals - x_c)
+
+
+def _old_margin_loss(h, x_e, x_c, labels):
+    logits = _old_linear_logits(h, x_e, x_c)
+    idx = np.asarray(labels, dtype=np.int64) - 1
+    n = len(idx)
+    own = logits[np.arange(n), idx]
+    masked = logits.copy()
+    masked[np.arange(n), idx] = -np.inf
+    return masked.max(axis=1) - own
+
+
+def _old_adversarial_batch(params, batch):
+    deltas = np.array([worst_case_delta(params, class_i) for class_i in CLASSES])
+    rows = deltas[batch.labels - 1]
+    return SyntheticBatch(batch.x_e + rows[:, :3], batch.x_c + rows[:, 3:],
+                          batch.labels.copy())
+
+
+def _old_ls_margin_samples(params, h, n_samples, rng):
+    adv = _old_adversarial_batch(params, synthetic.sample_mixed(params, n_samples, rng))
+    margins = _old_margin_loss(h, adv.x_e, adv.x_c, adv.labels)
+    logits = _old_linear_logits(h, adv.x_e, adv.x_c)
+    off_sum = logits.sum(axis=1) - logits[np.arange(len(adv)), adv.labels - 1]
+    return (1.0 - params.beta) * margins - 0.5 * params.beta * off_sum
+
+
+def _old_frozen_linear_coefficients(params, n_samples, rng):
+    beta = params.beta
+    adv = _old_adversarial_batch(params, synthetic.sample_mixed(params, n_samples, rng))
+    idx = adv.labels - 1
+    rows = np.arange(len(adv))
+    own_e = adv.x_e[rows, idx]
+    own_c = adv.x_c[rows, idx]
+    other_c = adv.x_c.copy()
+    other_c[rows, idx] = np.inf
+    min_other = other_c.min(axis=1)
+    c1 = params.eps - own_e
+    c2 = own_c - min_other
+    if beta:
+        off_w2 = adv.x_c.sum(axis=1) + own_c
+        c1 = (1.0 - beta) * c1 - beta * params.eps
+        c2 = (1.0 - beta) * c2 - 0.5 * beta * off_w2
+    return np.column_stack([c1, c2])
+
+
+def _tied_batch(n, seed):
+    """Entries from a few values, signed zeros included, so that rows tie and
+    logits come out as -0.0 and +0.0; every label occurs."""
+    gen = RngStream(seed, stream_id=80).generator
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+    labels = np.resize(np.array(CLASSES), n)
+    gen.shuffle(labels)
+    return (values[gen.integers(0, 5, size=(n, 3))], values[gen.integers(0, 5, size=(n, 3))],
+            labels)
+
+
+HYPOTHESES = [LinearHypothesis(1.0, 0.0), LinearHypothesis(0.0, 0.0),
+              LinearHypothesis(0.0, 1.0), LinearHypothesis(0.5, 0.5),
+              LinearHypothesis(1.3, 0.7)]
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).tobytes()
+
+
+class TestExactColumnSelection:
+    """Selecting each row's own and other columns gives the bits of the
+    masked-copy reductions it replaced, ties and signed zeros included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_margin_loss_on_tied_rows(self, seed):
+        x_e, x_c, labels = _tied_batch(600, seed)
+        for h in HYPOTHESES:
+            got = margin_loss(h, x_e, x_c, labels)
+            assert _bits(got) == _bits(_old_margin_loss(h, x_e, x_c, labels))
+
+    @staticmethod
+    def next_then_previous(logits, labels):
+        # Other columns taken as (own + 1, own + 2) mod 3: label 2 compares
+        # column 2 before column 0, unlike the reduction.
+        idx = labels - 1
+        pick = [np.take_along_axis(logits, ((idx + k) % 3)[:, None], axis=1)[:, 0]
+                for k in range(3)]
+        return np.maximum(pick[1], pick[2]) - pick[0]
+
+    def test_every_signed_zero_tie_of_the_two_other_logits(self):
+        # With w = 0 and x_C = -1 each logit is 0 * x_E (plus -0.0), so the
+        # logits take the signs of x_E: every pattern of signed zeros, for
+        # every label.
+        rows = [(a, b, c) for a in (-0.0, 0.0) for b in (-0.0, 0.0) for c in (-0.0, 0.0)]
+        x_e = np.array(rows * 3)
+        x_c = -np.ones_like(x_e)
+        labels = np.repeat(np.array(CLASSES), len(rows))
+        h = LinearHypothesis(0.0, 0.0)
+        logits = linear_logits(h, x_e, x_c)
+        assert np.array_equal(np.signbit(logits), np.signbit(x_e))
+        want = _old_margin_loss(h, x_e, x_c, labels)
+        assert _bits(margin_loss(h, x_e, x_c, labels)) == _bits(want)
+        # The sign of a tie is visible: another column order gives other bits.
+        assert np.signbit(want).any()
+        assert _bits(self.next_then_previous(logits, labels)) != _bits(want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_logits_and_row_sums(self, seed):
+        x_e, x_c, _ = _tied_batch(500, seed)
+        normal = RngStream(seed, stream_id=81).generator.normal(size=(500, 3))
+        scaled = normal * 10.0 ** RngStream(seed, stream_id=82).generator.integers(
+            -8, 8, size=(500, 3))
+        for block in (x_c, normal, scaled):
+            assert _bits(synthetic._row_sums(block)) == _bits(block.sum(axis=1))
+            for h in HYPOTHESES:
+                assert (_bits(linear_logits(h, x_e, block))
+                        == _bits(_old_linear_logits(h, x_e, block)))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2, 0.45])
+    def test_adversarial_batch_on_tied_rows(self, eps):
+        x_e, x_c, labels = _tied_batch(300, 5)
+        batch = SyntheticBatch(x_e, x_c, labels)
+        p = SyntheticParams(eps=eps, **DEFAULTS)
+        got, want = adversarial_batch(p, batch), _old_adversarial_batch(p, batch)
+        assert _bits(got.x_e) == _bits(want.x_e) and _bits(got.x_c) == _bits(want.x_c)
+
+    @pytest.mark.parametrize("eps, beta", [(0.0, 0.0), (0.0, 0.2), (0.15, 0.0),
+                                           (0.2, 0.1), (0.3, 0.3)])
+    def test_sampled_objectives_and_coefficients(self, eps, beta):
+        p = SyntheticParams(eps=eps, beta=beta, **DEFAULTS)
+        stream = RngStream(9, stream_id=83)
+        for h in HYPOTHESES:
+            assert (_bits(ls_margin_samples(p, h, 3_000, stream))
+                    == _bits(_old_ls_margin_samples(p, h, 3_000, stream)))
+        assert (_bits(frozen_linear_coefficients(p, 3_000, stream))
+                == _bits(_old_frozen_linear_coefficients(p, 3_000, stream)))
+
+    def test_sampled_objectives_on_tied_rows(self, monkeypatch):
+        # The sampled helpers fed a tied batch in place of a fresh draw.
+        x_e, x_c, labels = _tied_batch(900, 6)
+        monkeypatch.setattr(synthetic, "sample_mixed",
+                            lambda params, n, rng: SyntheticBatch(x_e, x_c, labels))
+        for eps, beta in ((0.0, 0.0), (0.0, 0.25), (0.2, 0.1)):
+            p = SyntheticParams(eps=eps, beta=beta, **DEFAULTS)
+            for h in HYPOTHESES:
+                assert (_bits(ls_margin_samples(p, h, 900, RngStream(0)))
+                        == _bits(_old_ls_margin_samples(p, h, 900, RngStream(0))))
+            assert (_bits(frozen_linear_coefficients(p, 900, RngStream(0)))
+                    == _bits(_old_frozen_linear_coefficients(p, 900, RngStream(0))))
+
+
+class TestOracleGroupDrawsOnce:
+    """The oracle check group draws its frozen sample set once and derives
+    every radius's coefficients from it."""
+
+    BASE = SyntheticParams(mu=1.2, sigma=0.9, lam=0.4)
+
+    def run_group(self, monkeypatch, seed, n):
+        draws, coefficients = [], []
+        real_sample_mixed = synthetic.sample_mixed
+        real_oracle = synthetic.projected_gd_oracle
+
+        def counted(*args):
+            draws.append(args)
+            return real_sample_mixed(*args)
+
+        def recorded(coeff, lam, steps):
+            coefficients.append(coeff)
+            return real_oracle(coeff, lam, steps=steps)
+
+        monkeypatch.setattr(synthetic, "sample_mixed", counted)
+        monkeypatch.setattr(synthetic, "projected_gd_oracle", recorded)
+        records = list(synthetic._oracle_minimizers(self.BASE, seed, n, 50))
+        monkeypatch.undo()
+        return records, draws, coefficients
+
+    def test_one_sample_mixed_call(self, monkeypatch):
+        records, draws, coefficients = self.run_group(monkeypatch, 3, 2_000)
+        assert len(draws) == 1 and len(coefficients) == 6
+        assert len({r.params["eps"] for r in records}) == 6
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_each_radius_gets_the_frozen_coefficients_of_the_group_stream(
+            self, monkeypatch, seed):
+        records, _, coefficients = self.run_group(monkeypatch, seed, 2_000)
+        radii = [r.params["eps"] for r in records if r.name == "oracle_w1"]
+        assert len(radii) == 6
+        for eps, coeff in zip(radii, coefficients):
+            p = SyntheticParams(mu=self.BASE.mu, sigma=self.BASE.sigma,
+                                lam=self.BASE.lam, eps=eps)
+            want = frozen_linear_coefficients(p, 2_000, RngStream(seed).split(2))
+            assert _bits(coeff) == _bits(want)
+
+    def test_an_empty_sample_set_raises_the_draw_error(self, monkeypatch):
+        with pytest.raises(ValueError, match="^n_samples must be at least 1, got 0$"):
+            self.run_group(monkeypatch, 0, 0)
