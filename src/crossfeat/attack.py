@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Classifier, CrossEntropy, _row_blocks, backward
-from .numerics import RngStream, as_array
+from .numerics import RngStream, _is_int, as_array
 
 __all__ = ["AttackConfig", "fgsm", "pgd", "project"]
 
@@ -40,8 +40,8 @@ class AttackConfig:
             raise ValueError(f"norm must be 'linf' or 'l2', got {self.norm!r}")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        if not _is_int(self.steps, 1):
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if self.step_size is not None and self.step_size <= 0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
         if self.input_bounds is not None:

@@ -29,9 +29,10 @@ from .attribution import (cas, class_attribution_matrix, instance_cas_matrix,
                           load_matrix, matrix_diff, save_matrix)
 from .data import Dataset, PlantedSpec, generate_planted, load_tabular, save_tabular
 from .model import Classifier, load_checkpoint
-from .numerics import RngStream
+from .numerics import RngStream, _is_int
 from .synthetic import SyntheticParams, run_verification
-from .training import TrainConfig, detect_collapse, evaluate, train, train_many
+from .training import (TrainConfig, detect_collapse, evaluate, save_records, train,
+                       train_many)
 
 __all__ = ["ConfigError", "Report", "cmd_attribution", "cmd_eval",
            "cmd_gen_data", "cmd_report", "cmd_sweep", "cmd_synth_verify",
@@ -117,6 +118,14 @@ def _build(section: str, ctor, kwargs: dict):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+def _seed(value, location: str, override: int | None = None) -> int:
+    """``override`` if set, else ``value``; ``value`` is checked either way."""
+    # RngStream would truncate 1.5 or True to another seed.
+    if not _is_int(value, 0):
+        raise ConfigError(f"{location}: expected a non-negative integer, got {value!r}")
+    return value if override is None else override
+
+
 def _attack_from(config: dict, key: str = "attack") -> AttackConfig | None:
     section = config.get(key)
     if section is None:
@@ -132,14 +141,12 @@ def _planted_from(config: dict, seed: int | None) -> PlantedSpec | None:
     if planted is None:
         return None
     kwargs = dict(planted)
-    if seed is not None:
-        kwargs["seed"] = seed
+    kwargs["seed"] = _seed(kwargs.get("seed", PlantedSpec.seed), "data.planted.seed", seed)
     return _build("data.planted", PlantedSpec, kwargs)
 
 
-def _datasets_from(config: dict, seed: int | None,
-                   train: bool = True) -> tuple[Dataset | None, Dataset]:
-    spec = _planted_from(config, seed)
+def _datasets_from(config: dict, train: bool = True) -> tuple[Dataset | None, Dataset]:
+    spec = _planted_from(config, None)
     if spec is not None:
         return generate_planted(spec)
     data = config.get("data", {})
@@ -149,16 +156,6 @@ def _datasets_from(config: dict, seed: int | None,
     count = data.get("class_count")
     return (load_tabular(data["train_path"], fmt, count) if train else None,
             load_tabular(data["test_path"], fmt, count))
-
-
-def _model_from(config: dict, input_dim: int, classes: int, seed: int) -> Classifier:
-    section = config.get("model", {})
-    hidden = tuple(section.get("hidden", [32, 32]))
-    return Classifier.create(
-        input_dim, hidden, classes, RngStream(seed).split(0),
-        hidden_bias=section.get("hidden_bias", True),
-        head_bias=section.get("head_bias", False),
-    )
 
 
 def _train_cfg_from(config: dict, seed: int, out_dir: str | None) -> TrainConfig:
@@ -192,9 +189,7 @@ class Report:
         if out_dir is None:
             return
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "records.jsonl"), "w", encoding="utf-8") as fh:
-            for record in self.records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        save_records(self.records, os.path.join(out_dir, "records.jsonl"))
         payload = {
             "command": self.command,
             "metadata": self.metadata,
@@ -218,13 +213,14 @@ class Report:
         return "\n".join(lines)
 
 
-def _base_metadata(command: str, config: dict, seed: int | None) -> dict:
-    return {
-        "command": command,
-        "config_hash": config_hash(config),
-        "version": __version__,
-        "seed": seed,
-    }
+def _report(command: str, config: dict, seed: int | None, out_dir: str | None,
+            records: list[dict], summary: dict, passed: bool = True) -> Report:
+    """The command's Report, written to ``out_dir`` when that is set."""
+    metadata = {"command": command, "config_hash": config_hash(config),
+                "version": __version__, "seed": seed}
+    report = Report(command, metadata, records, summary, passed)
+    report.write(out_dir)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +233,18 @@ def cmd_synth_verify(config: dict, out_dir: str | None = None,
     section = dict(config.get("synthetic", {}))
     mc_samples = int(section.pop("mc_samples", 200_000))
     oracle_steps = int(section.pop("oracle_steps", 10_000))
-    run_seed = seed if seed is not None else int(section.pop("seed", 0))
-    section.pop("seed", None)
+    run_seed = _seed(section.pop("seed", 0), "synthetic.seed", seed)
     params = _build("synthetic", SyntheticParams, section)
     checks = run_verification(params, seed=run_seed, mc_samples=mc_samples,
                               oracle_steps=oracle_steps)
     failures = [c for c in checks if c.status == "fail"]
     counts = {status: sum(1 for c in checks if c.status == status)
               for status in ("pass", "fail", "boundary", "info")}
-    report = Report(
-        command="synth-verify",
-        metadata=_base_metadata("synth-verify", config, run_seed),
-        records=[asdict(c) for c in checks],
-        summary={"checks": len(checks), **counts,
-                 "failed_names": sorted({c.name for c in failures})},
-        passed=not failures,
-    )
-    report.write(out_dir)
-    return report
+    return _report("synth-verify", config, run_seed, out_dir,
+                   [asdict(c) for c in checks],
+                   {"checks": len(checks), **counts,
+                    "failed_names": sorted({c.name for c in failures})},
+                   passed=not failures)
 
 
 def cmd_gen_data(config: dict, out_dir: str | None = None,
@@ -268,35 +258,34 @@ def cmd_gen_data(config: dict, out_dir: str | None = None,
     os.makedirs(out_dir, exist_ok=True)
     save_tabular(train_set, os.path.join(out_dir, "train.csv"))
     save_tabular(test_set, os.path.join(out_dir, "test.csv"))
-    report = Report(
-        command="gen-data",
-        metadata=_base_metadata("gen-data", config, spec.seed),
-        records=[{"split": "train", "rows": len(train_set), "dims": spec.total_dim},
-                 {"split": "test", "rows": len(test_set), "dims": spec.total_dim}],
-        summary={"classes": spec.classes, "total_dim": spec.total_dim,
-                 "spec_hash": spec.spec_hash(),
-                 "train_rows": len(train_set), "test_rows": len(test_set)},
-    )
-    report.write(out_dir)
-    return report
+    return _report("gen-data", config, spec.seed, out_dir,
+                   [{"split": "train", "rows": len(train_set), "dims": spec.total_dim},
+                    {"split": "test", "rows": len(test_set), "dims": spec.total_dim}],
+                   {"classes": spec.classes, "total_dim": spec.total_dim,
+                    "spec_hash": spec.spec_hash(),
+                    "train_rows": len(train_set), "test_rows": len(test_set)})
 
 
 def _training_job(config: dict, seed: int, out_dir: str | None,
                   train_set: Dataset) -> tuple[Classifier, TrainConfig]:
-    model = _model_from(config, train_set.inputs.shape[1], train_set.class_count, seed)
+    section = config.get("model", {})
+    model = Classifier.create(
+        train_set.inputs.shape[1], tuple(section.get("hidden", [32, 32])),
+        train_set.class_count, RngStream(seed).split(0),
+        hidden_bias=section.get("hidden_bias", True),
+        head_bias=section.get("head_bias", False),
+    )
     return model, _train_cfg_from(config, seed, out_dir)
 
 
 def cmd_train(config: dict, out_dir: str | None = None,
               seed: int | None = None) -> Report:
-    run_seed = seed if seed is not None else int(config.get("seed", 0))
-    train_set, test_set = _datasets_from(config, None)
+    run_seed = _seed(config.get("seed", 0), "seed", seed)
+    train_set, test_set = _datasets_from(config)
     model, cfg = _training_job(config, run_seed, out_dir, train_set)
     record = train(model, train_set, test_set, cfg)
-    rows = [asdict(row) for row in record.rows]
     best = record.best_row()
     last = record.last_row()
-    collapse = detect_collapse(record.rows)
     summary = {
         "mode": cfg.mode,
         "epochs": cfg.epochs,
@@ -306,16 +295,10 @@ def cmd_train(config: dict, out_dir: str | None = None,
         "ra_last": None if last is None else last.test_robust_acc,
         "cas_best": None if best is None else best.cas,
         "cas_last": None if last is None else last.cas,
-        "catastrophic_overfitting": collapse,
+        "catastrophic_overfitting": detect_collapse(record.rows),
     }
-    report = Report(
-        command="train",
-        metadata=_base_metadata("train", config, run_seed),
-        records=rows,
-        summary=summary,
-    )
-    report.write(out_dir)
-    return report
+    return _report("train", config, run_seed, out_dir,
+                   [asdict(row) for row in record.rows], summary)
 
 
 def cmd_eval(config: dict, out_dir: str | None = None,
@@ -324,35 +307,13 @@ def cmd_eval(config: dict, out_dir: str | None = None,
     if "checkpoint" not in section:
         raise ConfigError("eval.checkpoint is required")
     model, epoch, _ = load_checkpoint(section["checkpoint"])
-    run_seed = seed if seed is not None else int(config.get("seed", 0))
-    test_set = _datasets_from(config, None, train=False)[1]
+    run_seed = _seed(config.get("seed", 0), "seed", seed)
+    test_set = _datasets_from(config, train=False)[1]
     attack = _attack_from(config)
-    metrics = evaluate(model, test_set, attack, RngStream(run_seed))
-    report = Report(
-        command="eval",
-        metadata=_base_metadata("eval", config, run_seed),
-        records=[{"checkpoint": section["checkpoint"], "epoch": epoch, **metrics}],
-        summary=dict(metrics),
-    )
-    report.write(out_dir)
-    return report
-
-
-def _attribution_for(model: Classifier, test_set: Dataset,
-                     attack: AttackConfig | None, clean: bool, run_seed: int,
-                     checkpoint_id: str):
-    # One attacked pass: robust accuracy, CAS and ICAS describe the same points.
-    metrics, points = evaluate(model, test_set, None if clean else attack,
-                               RngStream(run_seed).split(7), return_adversarial=True)
-    matrix = class_attribution_matrix(model, test_set, points)
-    icas_matrix, icas = instance_cas_matrix(model, test_set, points)
-    return matrix, icas_matrix, {
-        "checkpoint": checkpoint_id,
-        "cas": cas(matrix),
-        "icas": icas,
-        "robust_acc": metrics["robust_acc"],
-        "clean_acc": metrics["clean_acc"],
-    }
+    metrics, _ = evaluate(model, test_set, attack, RngStream(run_seed))
+    return _report("eval", config, run_seed, out_dir,
+                   [{"checkpoint": section["checkpoint"], "epoch": epoch, **metrics}],
+                   dict(metrics))
 
 
 def cmd_attribution(config: dict, out_dir: str | None = None,
@@ -360,44 +321,39 @@ def cmd_attribution(config: dict, out_dir: str | None = None,
     section = config.get("attribution", {})
     if "checkpoint" not in section:
         raise ConfigError("attribution.checkpoint is required")
-    run_seed = seed if seed is not None else int(config.get("seed", 0))
-    test_set = _datasets_from(config, None, train=False)[1]
+    run_seed = _seed(config.get("seed", 0), "seed", seed)
+    test_set = _datasets_from(config, train=False)[1]
     attack = _attack_from(config)
     clean = bool(section.get("clean", False)) or attack is None or attack.epsilon == 0.0
-    model, _, _ = load_checkpoint(section["checkpoint"])
-    matrix, icas_matrix, record = _attribution_for(
-        model, test_set, attack, clean, run_seed, section["checkpoint"])
-    records = [record]
-    summary = {"cas": record["cas"], "icas": record["icas"],
-               "robust_acc": record["robust_acc"], "clean_attribution": clean}
-    diff_summary = {}
-    matrices = {"attribution_matrix.txt": matrix,
-                "instance_matrix.txt": icas_matrix}
-    if "checkpoint_last" in section and section["checkpoint_last"]:
-        other, _, _ = load_checkpoint(section["checkpoint_last"])
-        if other.class_count != model.class_count:
-            raise ConfigError("attribution: checkpoints have different class counts")
-        last_matrix, last_icas, last_record = _attribution_for(
-            other, test_set, attack, clean, run_seed, section["checkpoint_last"])
-        records.append(last_record)
-        diff, delta = matrix_diff(matrix, last_matrix)
-        diff_summary = {"delta_cas": delta}
-        matrices["attribution_matrix_last.txt"] = last_matrix
-        matrices["instance_matrix_last.txt"] = last_icas
+    paths = [section["checkpoint"]]
+    if section.get("checkpoint_last"):
+        paths.append(section["checkpoint_last"])
+    models = [load_checkpoint(path)[0] for path in paths]
+    if models[-1].class_count != models[0].class_count:
+        raise ConfigError("attribution: checkpoints have different class counts")
+    records, matrices = [], {}
+    for path, model, suffix in zip(paths, models, ("", "_last")):
+        # One attacked pass: robust accuracy, CAS and ICAS describe the same points.
+        metrics, points = evaluate(model, test_set, None if clean else attack,
+                                   RngStream(run_seed).split(7))
+        matrix = class_attribution_matrix(model, test_set, points)
+        icas_matrix, icas = instance_cas_matrix(model, test_set, points)
+        matrices[f"attribution_matrix{suffix}.txt"] = matrix
+        matrices[f"instance_matrix{suffix}.txt"] = icas_matrix
+        records.append({"checkpoint": path, "cas": cas(matrix), "icas": icas,
+                        "robust_acc": metrics["robust_acc"],
+                        "clean_acc": metrics["clean_acc"]})
+    summary = {"cas": records[0]["cas"], "icas": records[0]["icas"],
+               "robust_acc": records[0]["robust_acc"], "clean_attribution": clean}
+    if len(models) == 2:
+        diff, summary["delta_cas"] = matrix_diff(matrices["attribution_matrix.txt"],
+                                                 matrices["attribution_matrix_last.txt"])
         matrices["attribution_diff.txt"] = diff
-        summary.update(diff_summary)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for name, m in matrices.items():
             save_matrix(m, os.path.join(out_dir, name))
-    report = Report(
-        command="attribution",
-        metadata=_base_metadata("attribution", config, run_seed),
-        records=records,
-        summary=summary,
-    )
-    report.write(out_dir)
-    return report
+    return _report("attribution", config, run_seed, out_dir, records, summary)
 
 
 def _sweep_cells(section: dict) -> list[tuple[float, str, int]]:
@@ -415,10 +371,7 @@ def _sweep_cells(section: dict) -> list[tuple[float, str, int]]:
         if not isinstance(mode, str):
             raise ConfigError(f"sweep.modes: expected strings, got {mode!r}")
     for cell_seed in seeds:
-        # RngStream would truncate 1.5 or True to a seed already in the grid.
-        if isinstance(cell_seed, bool) or not isinstance(cell_seed, int) or cell_seed < 0:
-            raise ConfigError(
-                f"sweep.seeds: expected non-negative integers, got {cell_seed!r}")
+        _seed(cell_seed, "sweep.seeds")
     cells = [(eps, mode, cell_seed) for eps in epsilons for mode in modes
              for cell_seed in seeds]
     owners: dict[str, tuple] = {}
@@ -459,7 +412,7 @@ def cmd_sweep(config: dict, out_dir: str | None = None,
               seed: int | None = None) -> Report:
     cells = _sweep_cells(config.get("sweep", {}))
     # Every cell trains on the same data: generate it once, not per cell.
-    train_set, test_set = _datasets_from(config, None)
+    train_set, test_set = _datasets_from(config)
     jobs, results = {}, {}
     for i, (eps, mode, cell_seed) in enumerate(cells):
         cell_dir = None
@@ -487,18 +440,11 @@ def cmd_sweep(config: dict, out_dir: str | None = None,
                            "delta_cas")},
         })
     failed = sum(1 for r in rows if "error" in r)
-    report = Report(
-        command="sweep",
-        metadata=_base_metadata("sweep", config, seed),
-        records=rows,
-        summary={"cells": len(rows), "medians": medians, "failed_cells": failed},
-        passed=not failed,
-    )
-    report.write(out_dir)
+    report = _report("sweep", config, seed, out_dir, rows,
+                     {"cells": len(rows), "medians": medians, "failed_cells": failed},
+                     passed=not failed)
     if out_dir is not None:
-        with open(os.path.join(out_dir, "medians.jsonl"), "w", encoding="utf-8") as fh:
-            for row in medians:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        save_records(medians, os.path.join(out_dir, "medians.jsonl"))
     return report
 
 
@@ -526,14 +472,10 @@ def cmd_report(config: dict, out_dir: str | None = None,
             lines.append(f"  matrix {name} (classes {labels}):")
             for row in matrix:
                 lines.append("    " + " ".join(f"{v: .4f}" for v in row))
-    text = "\n".join(lines)
-    return Report(
-        command="report",
-        metadata=_base_metadata("report", config, seed),
-        records=[payload],
-        summary={"rendered": text},
-        passed=bool(payload.get("passed", True)),
-    )
+    # The rendering is not written back: out_dir holds the run it renders.
+    return _report("report", config, seed, None, [payload],
+                   {"rendered": "\n".join(lines)},
+                   passed=bool(payload.get("passed", True)))
 
 
 _COMMANDS = {

@@ -226,6 +226,9 @@ def load_tabular(path: str, format: str = "delimited-text",
         except ValueError as exc:
             raise ValueError(f"{path}:1: non-integer header field: {exc}") from exc
         start = 1
+        if len(lines) == 1:  # what save_tabular writes for an empty dataset
+            return Dataset(np.zeros((0, dims)), np.zeros(0, dtype=np.int64),
+                           declared, {"path": path})
     rows: list[list[float]] = []
     labels: list[int] = []
     for offset, line in enumerate(lines[start:], start=start + 1):

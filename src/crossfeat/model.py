@@ -220,7 +220,6 @@ class GradientBundle:
     params: dict[str, np.ndarray] | None
     inputs: np.ndarray
     loss: float
-    logits: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +381,7 @@ def backward(
     dh = _backprop(model, acts, dlogits, params)
     if extra_dx is not None:
         dh = dh + extra_dx
-    return GradientBundle(params=params, inputs=dh, loss=loss, logits=logits)
+    return GradientBundle(params=params, inputs=dh, loss=loss)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,12 @@ def as_array(values, *, name: str = "array") -> np.ndarray:
     return arr
 
 
+def _is_int(value, minimum: int) -> bool:
+    """Whether ``value`` is an int of at least ``minimum``; a bool or a float is not."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= minimum)
+
+
 def _fork_pool(workers: int, initializer=None, initargs=()):
     """A pool of ``workers`` forked processes that first run ``initializer``."""
     # Imported here: importing crossfeat loads no process-pool machinery.
@@ -106,31 +112,28 @@ def _fork_pool(workers: int, initializer=None, initargs=()):
                                initializer=initializer, initargs=initargs)
 
 
-def _run_jobs(function, jobs, initializer=None, initargs=()) -> list:
+def _run_jobs(function, jobs) -> list:
     """``function(*job)`` or the exception it raised, for each job in order.
 
     The jobs run in forked workers, one per usable CPU (at most one per job),
-    which run ``initializer(*initargs)`` first and find the jobs in their
-    forked memory, so only results are pickled.  With one worker they run
-    here, without the initializer.  A broken pool fails its unfinished jobs.
+    which find the jobs in their forked memory, so only results are pickled.
+    With one worker they run here.  A broken pool fails its unfinished jobs.
     """
     jobs = list(jobs)
     workers = min(len(os.sched_getaffinity(0)), len(jobs))
     if workers <= 1:
         return [_outcome(function, job) for job in jobs]
-    with _fork_pool(workers, _hold_jobs, (function, jobs, initializer, initargs)) as pool:
+    with _fork_pool(workers, _hold_jobs, (function, jobs)) as pool:
         futures = [pool.submit(_run_held, index) for index in range(len(jobs))]
         return [future.exception() or future.result() for future in futures]
 
 
-_held_jobs = None  # (function, jobs) in a _run_jobs worker
+_held_jobs = None  # (function, jobs) in a _run_jobs worker, None elsewhere
 
 
-def _hold_jobs(function, jobs, initializer, initargs) -> None:
+def _hold_jobs(function, jobs) -> None:
     global _held_jobs
     _held_jobs = (function, jobs)
-    if initializer is not None:
-        initializer(*initargs)
 
 
 def _run_held(index: int):

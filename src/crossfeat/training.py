@@ -52,7 +52,8 @@ from .data import Dataset
 from .model import (Classifier, CrossEntropy, Distillation, LabelSmoothing,
                     backward, forward, load_checkpoint, log_softmax,
                     save_checkpoint, sgd_step)
-from .numerics import RngStream, _fork_pool, _run_jobs
+from . import numerics
+from .numerics import RngStream, _fork_pool, _is_int, _run_jobs
 
 __all__ = [
     "EpochRow",
@@ -96,10 +97,10 @@ class TrainConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        if not _is_int(self.epochs, 0):
+            raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
+        if not _is_int(self.batch_size, 1):
+            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         fr = self.decay_fractions
@@ -140,8 +141,6 @@ class RunRecord:
     best_epoch: int | None
     best_model: Classifier
     last_model: Classifier
-    best_path: str | None = None
-    last_path: str | None = None
 
     def best_row(self) -> EpochRow | None:
         if self.best_epoch is None:
@@ -170,59 +169,45 @@ def _per_sample_ce(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def evaluate(model: Classifier, dataset: Dataset,
              attack: AttackConfig | None = None,
-             rng: RngStream | None = None,
-             return_adversarial: bool = False):
-    """Clean and robust accuracy plus mean loss.
+             rng: RngStream | None = None) -> tuple[dict, np.ndarray]:
+    """Clean and robust accuracy plus mean loss, and the attacked points.
 
     A sample counts as robust only if it is classified correctly both at the
     clean point and at the attacked point: the clean point lies inside every
     attack ball, so the attack can only remove correct classifications and
     robust_acc <= clean_acc holds deterministically.  mean_loss averages the
     per-sample worse (higher) of the clean and attacked cross-entropy.
+    Returns ``(metrics, points)``; without an attack the points are the clean
+    inputs.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    if rng is None:
-        rng = RngStream(0)
     inputs, labels = dataset.inputs, dataset.labels
     clean_logits = forward(model, inputs)
     clean_correct = clean_logits.argmax(axis=1) == labels
-    clean_loss = _per_sample_ce(clean_logits, labels)
-    if attack is None or attack.epsilon == 0.0:
-        metrics = {
-            "clean_acc": float(clean_correct.mean()),
-            "robust_acc": float(clean_correct.mean()),
-            "mean_loss": float(clean_loss.mean()),
-        }
-        return (metrics, inputs) if return_adversarial else metrics
-    adv = pgd(model, inputs, labels, attack, rng)
-    adv_logits = forward(model, adv)
-    adv_correct = adv_logits.argmax(axis=1) == labels
-    adv_loss = _per_sample_ce(adv_logits, labels)
-    metrics = {
+    points, correct, loss = inputs, clean_correct, _per_sample_ce(clean_logits, labels)
+    if attack is not None and attack.epsilon != 0.0:
+        points = pgd(model, inputs, labels, attack, rng or RngStream(0))
+        adv_logits = forward(model, points)
+        correct = clean_correct & (adv_logits.argmax(axis=1) == labels)
+        loss = np.maximum(loss, _per_sample_ce(adv_logits, labels))
+    return {
         "clean_acc": float(clean_correct.mean()),
-        "robust_acc": float((clean_correct & adv_correct).mean()),
-        "mean_loss": float(np.maximum(clean_loss, adv_loss).mean()),
-    }
-    return (metrics, adv) if return_adversarial else metrics
+        "robust_acc": float(correct.mean()),
+        "mean_loss": float(loss.mean()),
+    }, points
 
 
-def _resolve_teacher(cfg: TrainConfig) -> Classifier | None:
-    if cfg.mode != "at_kd":
-        return None
-    if cfg.teacher is None:
-        raise ValueError("mode=at_kd requires a teacher model or checkpoint path")
-    if isinstance(cfg.teacher, str):
-        teacher, _, _ = load_checkpoint(cfg.teacher)
-        return teacher
-    return cfg.teacher
-
-
-def _loss_spec(cfg: TrainConfig, teacher: Classifier | None):
+def _loss_spec(cfg: TrainConfig):
     if cfg.mode in ("standard", "at", "fast_at"):
         return CrossEntropy()
     if cfg.mode == "at_ls":
         return LabelSmoothing(cfg.beta)
+    if cfg.teacher is None:
+        raise ValueError("mode=at_kd requires a teacher model or checkpoint path")
+    teacher = cfg.teacher
+    if isinstance(teacher, str):
+        teacher, _, _ = load_checkpoint(teacher)
     return Distillation(teacher, cfg.temperature, cfg.lambda_mix)
 
 
@@ -231,10 +216,9 @@ def _evaluate_epoch(model: Classifier, train_set: Dataset, test_set: Dataset,
                     test_rng: RngStream):
     """Train metrics, test metrics and the class attribution matrix of one
     epoch-end model; standard training measures and attributes clean points."""
-    train_metrics = evaluate(model, train_set, None if standard else attack, train_rng)
-    metrics, adv_inputs = evaluate(model, test_set, attack, test_rng,
-                                   return_adversarial=True)
-    matrix = class_attribution_matrix(model, test_set, None if standard else adv_inputs)
+    train_metrics, _ = evaluate(model, train_set, None if standard else attack, train_rng)
+    metrics, points = evaluate(model, test_set, attack, test_rng)
+    matrix = class_attribution_matrix(model, test_set, None if standard else points)
     return train_metrics, metrics, matrix
 
 
@@ -244,8 +228,7 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
     determinism and record contracts."""
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("train and test sets must be nonempty")
-    teacher = _resolve_teacher(cfg)
-    loss_spec = _loss_spec(cfg, teacher)
+    loss_spec = _loss_spec(cfg)
     eval_attack = cfg.resolved_eval_attack()
     root = RngStream(cfg.seed)
     shuffle_stream, attack_stream, eval_stream = (root.split(1), root.split(2),
@@ -256,8 +239,8 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
     best = (-1.0, None, model.copy())  # (test robust acc, epoch, model)
     pending = []  # (epoch, snapshot, evaluation) not yet in rows
     inputs, labels = train_set.inputs, train_set.labels
-    # A train_many worker leaves the other cores to its sibling workers.
-    pipelined = (cfg.epochs > 1 and _worker_datasets is None
+    # A _run_jobs worker, such as a train_many cell, leaves the other cores free.
+    pipelined = (cfg.epochs > 1 and numerics._held_jobs is None
                  and len(os.sched_getaffinity(0)) > 1)
 
     def settle() -> None:
@@ -320,17 +303,14 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
                        best_model=best_model, last_model=model.copy())
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        record.best_path = os.path.join(cfg.out_dir, "best.ckpt")
-        record.last_path = os.path.join(cfg.out_dir, "last.ckpt")
-        best_row = record.best_row()
-        save_checkpoint(record.best_model, record.best_path,
+        # best_epoch is None exactly when there are no rows.
+        save_checkpoint(record.best_model, os.path.join(cfg.out_dir, "best.ckpt"),
                         epoch=-1 if best_epoch is None else best_epoch,
-                        metrics=asdict(best_row) if best_row else {})
-        last_row = record.last_row()
-        save_checkpoint(record.last_model, record.last_path,
-                        epoch=cfg.epochs - 1,
-                        metrics=asdict(last_row) if last_row else {})
-        save_records(record.rows, os.path.join(cfg.out_dir, "records.jsonl"))
+                        metrics=asdict(rows[best_epoch]) if rows else {})
+        save_checkpoint(record.last_model, os.path.join(cfg.out_dir, "last.ckpt"),
+                        epoch=cfg.epochs - 1, metrics=asdict(rows[-1]) if rows else {})
+        save_records([asdict(row) for row in rows],
+                     os.path.join(cfg.out_dir, "records.jsonl"))
         # A marker left by an earlier run that diverged here no longer holds.
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(cfg.out_dir, "diverged.json"))
@@ -345,21 +325,21 @@ def _save_divergence(out_dir: str, rows: list[EpochRow], epoch: int, step: int,
     for name in ("best.ckpt", "last.ckpt"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, name))
-    save_records(rows, os.path.join(out_dir, "records.jsonl"))
-    with open(os.path.join(out_dir, "diverged.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"epoch": epoch, "step": step, "message": message},
-                            sort_keys=True) + "\n")
+    save_records([asdict(row) for row in rows], os.path.join(out_dir, "records.jsonl"))
+    save_records([{"epoch": epoch, "step": step, "message": message}],
+                 os.path.join(out_dir, "diverged.json"))
 
 
-def save_records(rows: list[EpochRow], path: str) -> None:
-    """One JSON object per epoch with sorted keys, as ``Report.write`` does."""
+def save_records(records: list[dict], path: str) -> None:
+    """One JSON object per line with sorted keys: every ``.jsonl`` file a
+    command writes, and ``diverged.json``."""
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(asdict(row), sort_keys=True) + "\n")
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-# Set in each pool worker by the initializer; fork hands the datasets over
-# without pickling them.
+# Set in the pipelined-epoch worker by its pool initializer; fork hands the
+# datasets over without pickling them.
 _worker_datasets: tuple[Dataset, Dataset] | None = None
 
 
@@ -382,9 +362,7 @@ def train_many(jobs, train_set: Dataset,
     job), which inherit the datasets; with one CPU or one job they run here,
     one after another.
     """
-    # The initializer marks the workers: they train without pipelined epochs.
-    return _run_jobs(_train_copy, [(model, cfg, train_set, test_set) for model, cfg in jobs],
-                     _share_datasets, (train_set, test_set))
+    return _run_jobs(_train_copy, [(model, cfg, train_set, test_set) for model, cfg in jobs])
 
 
 def _train_copy(model: Classifier, cfg: TrainConfig, train_set: Dataset,

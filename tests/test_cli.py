@@ -4,10 +4,12 @@ import concurrent.futures
 import json
 import os
 import statistics
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import crossfeat
 from crossfeat import cli
 from crossfeat.attribution import (cas, class_attribution_matrix,
                                    instance_cas_matrix, load_matrix)
@@ -167,7 +169,7 @@ class TestTrainCmd:
 
         monkeypatch.setattr(cli, "train", recording_train)
         cmd_train(base_config(), out_dir=str(tmp_path / "run"))
-        save_records(runs[0].rows, str(tmp_path / "direct.jsonl"))
+        save_records([asdict(row) for row in runs[0].rows], str(tmp_path / "direct.jsonl"))
         assert (tmp_path / "run" / "records.jsonl").read_bytes() == \
             (tmp_path / "direct.jsonl").read_bytes()
 
@@ -317,6 +319,22 @@ class TestAttributionCmd:
         with pytest.raises(ConfigError, match="class counts"):
             cmd_attribution(config)
 
+    def test_class_count_mismatch_exits_two_before_measuring(self, run_dir, tmp_path,
+                                                             monkeypatch, capsys):
+        other = Classifier.create(8, (8,), 4, RngStream(0))
+        path = str(tmp_path / "other.ckpt")
+        save_checkpoint(other, path)
+        config = base_config(
+            attribution={"checkpoint": f"{run_dir}/best.ckpt",
+                         "checkpoint_last": path})
+        monkeypatch.setattr(cli, "evaluate", None)  # a measurement would exit 1
+        out = tmp_path / "attr"
+        argv = ["attribution", "--config", write_config(tmp_path, config),
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "checkpoints have different class counts" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_single_cell_matches_direct_train(self, tmp_path):
@@ -450,6 +468,64 @@ class TestReportCmd:
             cmd_report({})
         with pytest.raises(ConfigError, match="summary.json"):
             cmd_report({}, out_dir=str(tmp_path))
+
+
+class TestMetadata:
+    """Every command records {command, config_hash, version, seed}: the run
+    seed for train, eval, attribution and synth-verify, the spec seed for
+    gen-data, and --seed or null for sweep and report."""
+
+    CONFIG_SEEDS = {"synth-verify": 5, "gen-data": 0, "train": 3, "eval": 3,
+                    "attribution": 3, "sweep": None, "report": None}
+
+    @pytest.mark.parametrize("seed", [None, 4])
+    @pytest.mark.parametrize("command", sorted(CONFIG_SEEDS))
+    def test_metadata_block(self, tmp_path, command, seed):
+        run_dir = str(tmp_path / "run")
+        cmd_train(base_config(), out_dir=run_dir)
+        config = base_config(
+            seed=3, eval={"checkpoint": f"{run_dir}/best.ckpt"},
+            attribution={"checkpoint": f"{run_dir}/best.ckpt"},
+            synthetic={"mc_samples": 2_000, "oracle_steps": 100, "seed": 5},
+            sweep={"epsilons": [0.2], "modes": ["at"], "seeds": [1]})
+        out = run_dir if command == "report" else str(tmp_path / "out")
+        report = cli._COMMANDS[command](config, out_dir=out, seed=seed)
+        expected = {"command": command, "config_hash": config_hash(config),
+                    "version": crossfeat.__version__,
+                    "seed": self.CONFIG_SEEDS[command] if seed is None else seed}
+        assert report.metadata == expected
+        if command != "report":
+            written = json.loads((tmp_path / "out" / "summary.json").read_text())
+            assert written["metadata"] == expected
+
+
+class TestIntegerSettings:
+    """A seed or a count that is not an integer is a config error that names
+    its key, not a truncated seed or a late TypeError."""
+
+    @pytest.mark.parametrize("command, keys, value, message", [
+        ("train", ("seed",), 1.5, "seed: expected a non-negative integer, got 1.5"),
+        ("train", ("seed",), True, "seed: expected a non-negative integer, got True"),
+        ("synth-verify", ("synthetic", "seed"), 1.5,
+         "synthetic.seed: expected a non-negative integer, got 1.5"),
+        ("gen-data", ("data", "planted", "seed"), 0.5,
+         "data.planted.seed: expected a non-negative integer, got 0.5"),
+        ("train", ("attack", "steps"), 2.5, "attack: steps must be an integer >= 1, got 2.5"),
+        ("train", ("train", "epochs"), 1.5, "train: epochs must be an integer >= 0, got 1.5"),
+        ("train", ("train", "batch_size"), 16.0,
+         "train: batch_size must be an integer >= 1, got 16.0"),
+    ])
+    def test_exits_two_naming_the_key(self, tmp_path, capsys, command, keys, value,
+                                      message):
+        config = base_config()
+        section = config
+        for key in keys[:-1]:
+            section = section.setdefault(key, {})
+        section[keys[-1]] = value
+        argv = [command, "--config", write_config(tmp_path, config),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestMain:

@@ -191,6 +191,15 @@ class TestTabularIO:
         loaded = load_tabular(str(path))
         assert len(loaded) == 0
 
+    def test_empty_dataset_round_trips_through_its_header(self, tmp_path):
+        path = str(tmp_path / "empty.csv")
+        empty = Dataset(np.zeros((0, 5)), np.zeros(0, dtype=np.int64), 4)
+        save_tabular(empty, path)
+        loaded = load_tabular(path)
+        assert loaded.inputs.shape == (0, 5)
+        assert len(loaded) == 0
+        assert loaded.class_count == 4
+
     def test_bad_header_reports_line_one(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3,2,9\n1,2,3,0\n")

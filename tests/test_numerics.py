@@ -154,14 +154,3 @@ class TestRunJobs:
         # A lambda does not pickle; the forked workers find it in memory.
         jobs = [(lambda k=k: k * k,) for k in range(4)]
         assert self.run(monkeypatch, 2, operator.call, jobs) == [0, 1, 4, 9]
-
-    @pytest.mark.parametrize("cpus, jobs, seen", [(1, 2, None), (2, 1, None),
-                                                  (2, 2, "worker")])
-    def test_the_initializer_runs_in_the_workers_only(self, monkeypatch, cpus, jobs,
-                                                      seen):
-        key = "CROSSFEAT_RUN_JOBS_TEST"
-        monkeypatch.delenv(key, raising=False)
-        got = self.run(monkeypatch, cpus, os.environ.get, [(key,)] * jobs,
-                       os.environ.__setitem__, (key, "worker"))
-        assert got == [seen] * jobs
-        assert key not in os.environ

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import crossfeat.model
+import crossfeat.numerics
 import crossfeat.training
 from crossfeat.attack import AttackConfig, pgd
 from crossfeat.attribution import cas, class_attribution_matrix
@@ -83,8 +84,7 @@ class TestTrainConfig:
             cfg = tiny_cfg(mode=mode, epochs=1)
             record = train(tiny_model(), train_set, test_set, cfg)
             model = record.last_model
-            _, points = evaluate(model, test_set, cfg.resolved_eval_attack(),
-                                 return_adversarial=True)
+            _, points = evaluate(model, test_set, cfg.resolved_eval_attack())
             clean_cas = cas(class_attribution_matrix(model, test_set))
             attacked_cas = cas(class_attribution_matrix(model, test_set, points))
             assert clean_cas != attacked_cas
@@ -114,15 +114,21 @@ class TestEvaluate:
     def test_robust_never_exceeds_clean(self):
         train_set, test_set = tiny_data()
         model = tiny_model()
-        metrics = evaluate(model, test_set, AttackConfig(epsilon=0.3),
-                           RngStream(1, stream_id=50))
+        metrics, _ = evaluate(model, test_set, AttackConfig(epsilon=0.3),
+                              RngStream(1, stream_id=50))
         assert metrics["robust_acc"] <= metrics["clean_acc"]
 
     def test_no_attack_means_robust_equals_clean(self):
         _, test_set = tiny_data()
         model = tiny_model()
-        metrics = evaluate(model, test_set)
+        metrics, _ = evaluate(model, test_set)
         assert metrics["robust_acc"] == metrics["clean_acc"]
+
+    def test_without_an_attack_the_points_are_the_clean_inputs(self):
+        _, test_set = tiny_data()
+        for attack in (None, AttackConfig(epsilon=0.0)):
+            _, points = evaluate(tiny_model(), test_set, attack)
+            assert points is test_set.inputs
 
     def test_large_margin_model_is_certifiably_robust(self):
         # Head 100*I on 2-D inputs at the class corners: a 0.1-ball cannot
@@ -130,7 +136,7 @@ class TestEvaluate:
         model = Classifier([], Affine(100.0 * np.eye(3)))
         inputs = np.eye(3) * 2.0
         data = Dataset(inputs, np.arange(3), 3)
-        metrics = evaluate(model, data, AttackConfig(epsilon=0.1))
+        metrics, _ = evaluate(model, data, AttackConfig(epsilon=0.1))
         assert metrics["robust_acc"] == 1.0
 
     def test_mean_loss_is_per_sample_worst_of_clean_and_attacked(self):
@@ -138,8 +144,7 @@ class TestEvaluate:
         model = tiny_model()
         attack = AttackConfig(epsilon=0.25)
         metrics, adv = evaluate(model, test_set, attack,
-                                RngStream(2, stream_id=50),
-                                return_adversarial=True)
+                                RngStream(2, stream_id=50))
         clean_logits = forward(model, test_set.inputs)
         adv_logits = forward(model, adv)
 
@@ -161,9 +166,10 @@ class TestEvaluate:
         _, test_set = tiny_data()
         model = tiny_model()
         attack = AttackConfig(epsilon=0.2, random_start=True)
-        a = evaluate(model, test_set, attack, RngStream(3, stream_id=50))
-        b = evaluate(model, test_set, attack, RngStream(3, stream_id=50))
+        a, a_points = evaluate(model, test_set, attack, RngStream(3, stream_id=50))
+        b, b_points = evaluate(model, test_set, attack, RngStream(3, stream_id=50))
         assert a == b
+        assert np.array_equal(a_points, b_points)
 
     def test_every_pass_runs_in_row_blocks(self, monkeypatch):
         spec = PlantedSpec(classes=3, replication=1, noise_dims=2, mu=1.0,
@@ -276,10 +282,10 @@ class TestTrainLoop:
         out = str(tmp_path / "run")
         record = train(tiny_model(), train_set, test_set,
                        tiny_cfg(out_dir=out))
-        best_model, best_epoch, best_metrics = load_checkpoint(record.best_path)
+        best_model, best_epoch, best_metrics = load_checkpoint(f"{out}/best.ckpt")
         assert best_epoch == record.best_epoch
         assert best_metrics == asdict(record.best_row())
-        last_model, last_epoch, _ = load_checkpoint(record.last_path)
+        last_model, last_epoch, _ = load_checkpoint(f"{out}/last.ckpt")
         assert last_epoch == len(record.rows) - 1
         x = test_set.inputs[:4]
         assert np.array_equal(forward(best_model, x),
@@ -424,6 +430,21 @@ class TestPipelinedEpochs:
             self.run(monkeypatch, cpus, cfg)
         assert not out.exists()
 
+    def test_a_one_job_train_many_runs_here_and_pipelines(self, monkeypatch):
+        pools = []
+        real = crossfeat.numerics._fork_pool
+
+        def recording(*args):
+            pools.append((os.getpid(), args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(crossfeat.numerics, "_fork_pool", recording)
+        monkeypatch.setattr(crossfeat.training, "_fork_pool", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        [result] = train_many([(tiny_model(), tiny_cfg(epochs=3))], *tiny_data())
+        assert isinstance(result, RunRecord)
+        assert pools == [(os.getpid(), 1)]
+
     def test_train_many_workers_start_no_grandchild(self, monkeypatch):
         parent = os.getpid()
         real = crossfeat.training._fork_pool
@@ -475,7 +496,7 @@ class TestLinearRobustnessOracle:
         assert not (forward(model, corner).argmax(axis=1) == labels)[~certified].any()
         adv = pgd(model, inputs, labels, attack, RngStream(seed, stream_id=91))
         assert (forward(model, adv).argmax(axis=1) == labels)[certified].all()
-        metrics = evaluate(model, Dataset(inputs, labels, classes), attack)
+        metrics, _ = evaluate(model, Dataset(inputs, labels, classes), attack)
         assert metrics["robust_acc"] >= certified.mean()
 
 
@@ -483,7 +504,7 @@ class TestRecordsIO:
     def test_round_trip(self, tmp_path):
         rows = [row(0, 0.5, 1.0), row(1, 0.6, 1.5)]
         path = str(tmp_path / "records.jsonl")
-        save_records(rows, path)
+        save_records([asdict(r) for r in rows], path)
         with open(path, encoding="utf-8") as fh:
             loaded = [EpochRow(**json.loads(line)) for line in fh]
         assert loaded == rows
