@@ -118,11 +118,12 @@ def _build(section: str, ctor, kwargs: dict):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _seed(value, location: str, override: int | None = None) -> int:
+def _integer(value, location: str, override: int | None = None, minimum: int = 0) -> int:
     """``override`` if set, else ``value``; ``value`` is checked either way."""
-    # RngStream would truncate 1.5 or True to another seed.
-    if not _is_int(value, 0):
-        raise ConfigError(f"{location}: expected a non-negative integer, got {value!r}")
+    # RngStream would truncate a seed of 1.5 or True to another seed.
+    if not _is_int(value, minimum):
+        wanted = f"an integer >= {minimum}" if minimum else "a non-negative integer"
+        raise ConfigError(f"{location}: expected {wanted}, got {value!r}")
     return value if override is None else override
 
 
@@ -141,7 +142,7 @@ def _planted_from(config: dict, seed: int | None) -> PlantedSpec | None:
     if planted is None:
         return None
     kwargs = dict(planted)
-    kwargs["seed"] = _seed(kwargs.get("seed", PlantedSpec.seed), "data.planted.seed", seed)
+    kwargs["seed"] = _integer(kwargs.get("seed", PlantedSpec.seed), "data.planted.seed", seed)
     return _build("data.planted", PlantedSpec, kwargs)
 
 
@@ -231,9 +232,10 @@ def _report(command: str, config: dict, seed: int | None, out_dir: str | None,
 def cmd_synth_verify(config: dict, out_dir: str | None = None,
                      seed: int | None = None) -> Report:
     section = dict(config.get("synthetic", {}))
-    mc_samples = int(section.pop("mc_samples", 200_000))
-    oracle_steps = int(section.pop("oracle_steps", 10_000))
-    run_seed = _seed(section.pop("seed", 0), "synthetic.seed", seed)
+    mc_samples = _integer(section.pop("mc_samples", 200_000), "synthetic.mc_samples",
+                          minimum=1)
+    oracle_steps = _integer(section.pop("oracle_steps", 10_000), "synthetic.oracle_steps")
+    run_seed = _integer(section.pop("seed", 0), "synthetic.seed", seed)
     params = _build("synthetic", SyntheticParams, section)
     checks = run_verification(params, seed=run_seed, mc_samples=mc_samples,
                               oracle_steps=oracle_steps)
@@ -269,18 +271,18 @@ def cmd_gen_data(config: dict, out_dir: str | None = None,
 def _training_job(config: dict, seed: int, out_dir: str | None,
                   train_set: Dataset) -> tuple[Classifier, TrainConfig]:
     section = config.get("model", {})
-    model = Classifier.create(
-        train_set.inputs.shape[1], tuple(section.get("hidden", [32, 32])),
-        train_set.class_count, RngStream(seed).split(0),
+    model = _build("model", Classifier.create, dict(
+        input_dim=train_set.inputs.shape[1], hidden_widths=section.get("hidden", [32, 32]),
+        classes=train_set.class_count, rng=RngStream(seed).split(0),
         hidden_bias=section.get("hidden_bias", True),
         head_bias=section.get("head_bias", False),
-    )
+    ))
     return model, _train_cfg_from(config, seed, out_dir)
 
 
 def cmd_train(config: dict, out_dir: str | None = None,
               seed: int | None = None) -> Report:
-    run_seed = _seed(config.get("seed", 0), "seed", seed)
+    run_seed = _integer(config.get("seed", 0), "seed", seed)
     train_set, test_set = _datasets_from(config)
     model, cfg = _training_job(config, run_seed, out_dir, train_set)
     record = train(model, train_set, test_set, cfg)
@@ -307,7 +309,7 @@ def cmd_eval(config: dict, out_dir: str | None = None,
     if "checkpoint" not in section:
         raise ConfigError("eval.checkpoint is required")
     model, epoch, _ = load_checkpoint(section["checkpoint"])
-    run_seed = _seed(config.get("seed", 0), "seed", seed)
+    run_seed = _integer(config.get("seed", 0), "seed", seed)
     test_set = _datasets_from(config, train=False)[1]
     attack = _attack_from(config)
     metrics, _ = evaluate(model, test_set, attack, RngStream(run_seed))
@@ -321,7 +323,7 @@ def cmd_attribution(config: dict, out_dir: str | None = None,
     section = config.get("attribution", {})
     if "checkpoint" not in section:
         raise ConfigError("attribution.checkpoint is required")
-    run_seed = _seed(config.get("seed", 0), "seed", seed)
+    run_seed = _integer(config.get("seed", 0), "seed", seed)
     test_set = _datasets_from(config, train=False)[1]
     attack = _attack_from(config)
     clean = bool(section.get("clean", False)) or attack is None or attack.epsilon == 0.0
@@ -371,7 +373,7 @@ def _sweep_cells(section: dict) -> list[tuple[float, str, int]]:
         if not isinstance(mode, str):
             raise ConfigError(f"sweep.modes: expected strings, got {mode!r}")
     for cell_seed in seeds:
-        _seed(cell_seed, "sweep.seeds")
+        _integer(cell_seed, "sweep.seeds")
     cells = [(eps, mode, cell_seed) for eps in epsilons for mode in modes
              for cell_seed in seeds]
     owners: dict[str, tuple] = {}
@@ -413,20 +415,17 @@ def cmd_sweep(config: dict, out_dir: str | None = None,
     cells = _sweep_cells(config.get("sweep", {}))
     # Every cell trains on the same data: generate it once, not per cell.
     train_set, test_set = _datasets_from(config)
-    jobs, results = {}, {}
-    for i, (eps, mode, cell_seed) in enumerate(cells):
+    jobs = []
+    for eps, mode, cell_seed in cells:
         cell_dir = None
         if out_dir is not None:
             cell_dir = os.path.join(out_dir, "cells", _cell_name(eps, mode, cell_seed))
         cell_config = json.loads(json.dumps(config))
         cell_config.setdefault("attack", {})["epsilon"] = eps
         cell_config.setdefault("train", {})["mode"] = mode
-        try:
-            jobs[i] = _training_job(cell_config, cell_seed, cell_dir, train_set)
-        except Exception as exc:  # cell failure is recorded, sweep continues
-            results[i] = exc
-    results.update(zip(jobs, train_many(jobs.values(), train_set, test_set)))
-    rows = [_cell_row(*cell, results[i]) for i, cell in enumerate(cells)]
+        jobs.append(_training_job(cell_config, cell_seed, cell_dir, train_set))
+    results = train_many(jobs, train_set, test_set)
+    rows = [_cell_row(*cell, result) for cell, result in zip(cells, results)]
     medians = []
     for eps, mode in dict.fromkeys((eps, mode) for eps, mode, _ in cells):
         cell = [r for r in rows

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, as_array
+from .numerics import RngStream, _is_int, as_array
 
 __all__ = [
     "Dataset",
@@ -56,16 +56,17 @@ class PlantedSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.classes < 3:
-            raise ValueError(f"need at least 3 classes, got {self.classes}")
-        if self.replication < 1:
-            raise ValueError(f"replication must be >= 1, got {self.replication}")
-        if self.noise_dims < 0:
-            raise ValueError(f"noise_dims must be >= 0, got {self.noise_dims}")
+        if not _is_int(self.classes, 3):
+            raise ValueError(f"classes must be an integer >= 3, got {self.classes!r}")
+        if not _is_int(self.replication, 1):
+            raise ValueError(f"replication must be an integer >= 1, got {self.replication!r}")
+        if not _is_int(self.noise_dims, 0):
+            raise ValueError(f"noise_dims must be an integer >= 0, got {self.noise_dims!r}")
         if self.mu <= 0 or self.sigma <= 0:
             raise ValueError(f"mu and sigma must be positive, got {self.mu}, {self.sigma}")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError("n_train and n_test must be positive")
+        if not (_is_int(self.n_train, 1) and _is_int(self.n_test, 1)):
+            raise ValueError("n_train and n_test must be integers >= 1, got "
+                             f"{self.n_train!r}, {self.n_test!r}")
 
     @property
     def group_dim(self) -> int:

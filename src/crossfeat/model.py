@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, as_array
+from .numerics import RngStream, _is_int, as_array
 
 __all__ = [
     "Affine",
@@ -118,12 +118,12 @@ class Classifier:
         head_bias: bool = False,
     ) -> "Classifier":
         """He-initialized MLP; biases start at zero, head has no bias by default."""
-        if input_dim < 1:
-            raise ValueError(f"input_dim must be positive, got {input_dim}")
-        if classes < 2:
-            raise ValueError(f"need at least 2 classes, got {classes}")
-        if any(w < 1 for w in hidden_widths):
-            raise ValueError(f"hidden widths must be positive, got {hidden_widths}")
+        if not _is_int(input_dim, 1):
+            raise ValueError(f"input_dim must be an integer >= 1, got {input_dim!r}")
+        if not _is_int(classes, 2):
+            raise ValueError(f"classes must be an integer >= 2, got {classes!r}")
+        if not all(_is_int(w, 1) for w in hidden_widths):
+            raise ValueError(f"hidden widths must be integers >= 1, got {hidden_widths!r}")
         gen = rng.generator
         hidden: list[Affine] = []
         fan_in = input_dim

@@ -102,14 +102,29 @@ def _is_int(value, minimum: int) -> bool:
             and value >= minimum)
 
 
-def _fork_pool(workers: int, initializer=None, initargs=()):
-    """A pool of ``workers`` forked processes that first run ``initializer``."""
+def _fork_pool(workers: int, held):
+    """A pool of ``workers`` forked processes, each holding ``held`` in ``_held``."""
     # Imported here: importing crossfeat loads no process-pool machinery.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=initializer, initargs=initargs)
+                               initializer=_hold, initargs=(held,))
+
+
+_held = None  # what _fork_pool handed this worker; None outside its workers
+
+
+def _hold(held) -> None:
+    global _held
+    _held = held
+
+
+def _worker_count(limit: int) -> int:
+    """Workers a pool started here may use: one per usable CPU, at most
+    ``limit``, and 1 inside a ``_fork_pool`` worker, whose siblings fill the
+    other CPUs."""
+    return 1 if _held is not None else min(len(os.sched_getaffinity(0)), limit)
 
 
 def _run_jobs(function, jobs) -> list:
@@ -120,24 +135,17 @@ def _run_jobs(function, jobs) -> list:
     With one worker they run here.  A broken pool fails its unfinished jobs.
     """
     jobs = list(jobs)
-    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    workers = _worker_count(len(jobs))
     if workers <= 1:
         return [_outcome(function, job) for job in jobs]
-    with _fork_pool(workers, _hold_jobs, (function, jobs)) as pool:
+    with _fork_pool(workers, (function, jobs)) as pool:
         futures = [pool.submit(_run_held, index) for index in range(len(jobs))]
         return [future.exception() or future.result() for future in futures]
 
 
-_held_jobs = None  # (function, jobs) in a _run_jobs worker, None elsewhere
-
-
-def _hold_jobs(function, jobs) -> None:
-    global _held_jobs
-    _held_jobs = (function, jobs)
-
-
 def _run_held(index: int):
-    return _outcome(_held_jobs[0], _held_jobs[1][index])
+    function, jobs = _held
+    return _outcome(function, jobs[index])
 
 
 def _outcome(function, job):

@@ -27,13 +27,13 @@ worker processes when more than one CPU is usable.  Each job's result depends
 only on its own inputs, so the results are identical for any worker count.
 
 Pipelined epochs: with more than one usable CPU, at least two epochs, and
-not inside a ``train_many`` worker, ``train`` hands each epoch-end snapshot
-and its two evaluation streams to one forked worker, which evaluates it
-while the next epoch trains.  Rows and the best checkpoint are settled in
-epoch order from the same computation as the inline path, so records and
-checkpoints are byte-identical.  A divergence first settles the epoch under
-evaluation, whose error, if it raised one, wins; the worker is shut down
-before ``train`` returns or raises.
+not inside a forked worker such as a ``train_many`` cell, ``train`` hands
+each epoch-end snapshot and its two evaluation streams to one forked
+worker, which evaluates it while the next epoch trains.  Rows and the best
+checkpoint are settled in epoch order from the same computation as the
+inline path, so records and checkpoints are byte-identical.  A divergence
+first settles the epoch under evaluation, whose error, if it raised one,
+wins; the worker is shut down before ``train`` returns or raises.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .model import (Classifier, CrossEntropy, Distillation, LabelSmoothing,
                     backward, forward, load_checkpoint, log_softmax,
                     save_checkpoint, sgd_step)
 from . import numerics
-from .numerics import RngStream, _fork_pool, _is_int, _run_jobs
+from .numerics import RngStream, _fork_pool, _is_int, _run_jobs, _worker_count
 
 __all__ = [
     "EpochRow",
@@ -239,9 +239,7 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
     best = (-1.0, None, model.copy())  # (test robust acc, epoch, model)
     pending = []  # (epoch, snapshot, evaluation) not yet in rows
     inputs, labels = train_set.inputs, train_set.labels
-    # A _run_jobs worker, such as a train_many cell, leaves the other cores free.
-    pipelined = (cfg.epochs > 1 and numerics._held_jobs is None
-                 and len(os.sched_getaffinity(0)) > 1)
+    pipelined = cfg.epochs > 1 and _worker_count(2) > 1
 
     def settle() -> None:
         nonlocal best
@@ -260,7 +258,7 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
                 best = (metrics["robust_acc"], epoch, snapshot)
         pending.clear()
 
-    with (_fork_pool(1, _share_datasets, (train_set, test_set)) if pipelined
+    with (_fork_pool(1, (train_set, test_set)) if pipelined
           else contextlib.nullcontext()) as pool:
         for epoch in range(cfg.epochs):
             lr = lr_at(epoch, cfg)
@@ -338,18 +336,8 @@ def save_records(records: list[dict], path: str) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-# Set in the pipelined-epoch worker by its pool initializer; fork hands the
-# datasets over without pickling them.
-_worker_datasets: tuple[Dataset, Dataset] | None = None
-
-
-def _share_datasets(train_set: Dataset, test_set: Dataset) -> None:
-    global _worker_datasets
-    _worker_datasets = (train_set, test_set)
-
-
 def _evaluate_shared(model: Classifier, *job):
-    return _evaluate_epoch(model, *_worker_datasets, *job)
+    return _evaluate_epoch(model, *numerics._held, *job)
 
 
 def train_many(jobs, train_set: Dataset,

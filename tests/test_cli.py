@@ -420,6 +420,13 @@ class TestSweep:
         with pytest.raises(ConfigError, match="share the directory cells/eps0.1_at_s1"):
             cmd_sweep(base_config(sweep=sweep))
 
+    def test_a_config_error_stops_the_sweep_before_training(self, monkeypatch):
+        monkeypatch.setattr(cli, "train_many", None)
+        config = base_config(sweep={"epsilons": [0.1], "modes": ["at"], "seeds": [1]})
+        config["train"] = {"epochs": 1.5}
+        with pytest.raises(ConfigError, match="^train: epochs must be an integer >= 0"):
+            cmd_sweep(config)
+
     @pytest.mark.parametrize("seed", [1.5, True, -1, "1"])
     def test_seeds_must_be_non_negative_integers(self, seed):
         with pytest.raises(ConfigError, match="sweep.seeds"):
@@ -514,6 +521,24 @@ class TestIntegerSettings:
         ("train", ("train", "epochs"), 1.5, "train: epochs must be an integer >= 0, got 1.5"),
         ("train", ("train", "batch_size"), 16.0,
          "train: batch_size must be an integer >= 1, got 16.0"),
+        ("train", ("data", "planted", "classes"), 3.5,
+         "data.planted: classes must be an integer >= 3, got 3.5"),
+        ("gen-data", ("data", "planted", "replication"), 1.5,
+         "data.planted: replication must be an integer >= 1, got 1.5"),
+        ("train", ("data", "planted", "noise_dims"), 2.5,
+         "data.planted: noise_dims must be an integer >= 0, got 2.5"),
+        ("train", ("data", "planted", "n_train"), 10.5,
+         "data.planted: n_train and n_test must be integers >= 1, got 10.5, 15"),
+        ("gen-data", ("data", "planted", "n_test"), 15.5,
+         "data.planted: n_train and n_test must be integers >= 1, got 30, 15.5"),
+        ("train", ("model", "hidden"), [8.5],
+         "model: hidden widths must be integers >= 1, got [8.5]"),
+        ("synth-verify", ("synthetic", "mc_samples"), 2000.7,
+         "synthetic.mc_samples: expected an integer >= 1, got 2000.7"),
+        ("synth-verify", ("synthetic", "mc_samples"), 0,
+         "synthetic.mc_samples: expected an integer >= 1, got 0"),
+        ("synth-verify", ("synthetic", "oracle_steps"), 1.5,
+         "synthetic.oracle_steps: expected a non-negative integer, got 1.5"),
     ])
     def test_exits_two_naming_the_key(self, tmp_path, capsys, command, keys, value,
                                       message):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import crossfeat.numerics
 from crossfeat.numerics import (RngStream, _run_jobs, as_array, cosine_similarity,
                                 std_normal_cdf, unit_rows)
 
@@ -154,3 +155,14 @@ class TestRunJobs:
         # A lambda does not pickle; the forked workers find it in memory.
         jobs = [(lambda k=k: k * k,) for k in range(4)]
         assert self.run(monkeypatch, 2, operator.call, jobs) == [0, 1, 4, 9]
+
+    def test_a_job_in_a_worker_runs_its_own_jobs_inline(self, monkeypatch):
+        # The worker's siblings fill the other CPUs, so it forks no pool.
+        def nested():
+            return os.getpid(), _run_jobs(os.getpid, [(), ()])
+
+        results = self.run(monkeypatch, 2, operator.call, [(nested,), (nested,)])
+        for pid, inner in results:
+            assert pid != os.getpid()
+            assert inner == [pid, pid]
+        assert crossfeat.numerics._held is None

@@ -1,7 +1,9 @@
 """Each module's ``__all__`` names exactly the public functions and classes
 it defines, so a deleted or added name cannot leave a stale or missing entry.
-Importing the package stays as cheap as it is."""
+Importing the package stays as cheap as it is, and one module decides how
+the package forks workers."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -36,3 +38,15 @@ def test_importing_the_cli_loads_no_process_pool_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_numerics_holds_worker_state_or_counts_cpus():
+    # A second module-level global or CPU count would be a second way to hand
+    # data to a worker or to decide whether to start one.
+    found = set()
+    for name in MODULES:
+        source = inspect.getsource(importlib.import_module(f"crossfeat.{name}"))
+        if ("sched_getaffinity" in source
+                or any(isinstance(node, ast.Global) for node in ast.walk(ast.parse(source)))):
+            found.add(name)
+    assert found == {"numerics"}

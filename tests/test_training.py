@@ -410,6 +410,11 @@ class TestPipelinedEpochs:
         assert sorted(files[1]) == ["best.ckpt", "last.ckpt", "records.jsonl"]
         assert files[1] == files[2]
 
+    def test_the_parent_holds_nothing_after_a_pipelined_run(self, monkeypatch):
+        _, pools = self.run(monkeypatch, 2, tiny_cfg(epochs=2))
+        assert pools == [1]
+        assert crossfeat.numerics._held is None
+
     def test_one_epoch_runs_inline(self, monkeypatch):
         _, pools = self.run(monkeypatch, 2, tiny_cfg(epochs=1))
         assert pools == []
