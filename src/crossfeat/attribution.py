@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .model import Classifier, features
+from .model import Classifier, _row_blocks, features
 from .numerics import as_array, unit_rows
 
 __all__ = [
@@ -95,15 +95,16 @@ def instance_cas_matrix(model: Classifier, dataset: Dataset,
     Measures ``points`` as :func:`class_attribution_matrix` does.
     entry[i, j] = mean over class-i samples of the maximum cosine between
     that sample's attribution vector (at head row i) and any class-j
-    sample's attribution vector (at head row j).  The search is exhaustive.
-    Returns the (generally asymmetric) matrix and the score
-    sum_{i != j} max(entry, 0).
+    sample's attribution vector (at head row j).  The search is exhaustive
+    but runs over 256-row blocks of class i, so the largest temporary is one
+    256 x n_j cosine block, not the n_i x n_j matrix.  Returns the
+    (generally asymmetric) matrix and the score sum_{i != j} max(entry, 0).
     """
     feats, class_rows = _class_features(model, dataset, points)
-    vectors = [feats[rows] * w for rows, w in zip(class_rows, model.head.weights)]
-    units = [unit_rows(v) for v in vectors]
-    entries = np.array([[(ui @ uj.T).max(axis=1).mean() for uj in units]
-                        for ui in units])
+    units = [unit_rows(feats[rows] * w) for rows, w in zip(class_rows, model.head.weights)]
+    entries = np.array([[np.concatenate([(ui[rows] @ uj.T).max(axis=1)
+                                         for rows in _row_blocks(len(ui))]).mean()
+                         for uj in units] for ui in units])
     return entries, cas(entries)
 
 

@@ -127,11 +127,19 @@ def _integer(value, location: str, override: int | None = None, minimum: int = 0
     return value if override is None else override
 
 
+def _boolean(value, location: str) -> bool:
+    # bool("false") is True: only JSON true and false are accepted.
+    if not isinstance(value, bool):
+        raise ConfigError(f"{location}: expected true or false, got {value!r}")
+    return value
+
+
 def _attack_from(config: dict, key: str = "attack") -> AttackConfig | None:
     section = config.get(key)
     if section is None:
         return None
     kwargs = dict(section)
+    _boolean(kwargs.get("random_start", False), f"{key}.random_start")
     if isinstance(kwargs.get("input_bounds"), list):
         kwargs["input_bounds"] = tuple(kwargs["input_bounds"])
     return _build(key, AttackConfig, kwargs)
@@ -143,6 +151,7 @@ def _planted_from(config: dict, seed: int | None) -> PlantedSpec | None:
         return None
     kwargs = dict(planted)
     kwargs["seed"] = _integer(kwargs.get("seed", PlantedSpec.seed), "data.planted.seed", seed)
+    _boolean(kwargs.get("rotate", PlantedSpec.rotate), "data.planted.rotate")
     return _build("data.planted", PlantedSpec, kwargs)
 
 
@@ -190,7 +199,8 @@ class Report:
         if out_dir is None:
             return
         os.makedirs(out_dir, exist_ok=True)
-        save_records(self.records, os.path.join(out_dir, "records.jsonl"))
+        if self.command != "train":  # train() has written these records there
+            save_records(self.records, os.path.join(out_dir, "records.jsonl"))
         payload = {
             "command": self.command,
             "metadata": self.metadata,
@@ -274,8 +284,8 @@ def _training_job(config: dict, seed: int, out_dir: str | None,
     model = _build("model", Classifier.create, dict(
         input_dim=train_set.inputs.shape[1], hidden_widths=section.get("hidden", [32, 32]),
         classes=train_set.class_count, rng=RngStream(seed).split(0),
-        hidden_bias=section.get("hidden_bias", True),
-        head_bias=section.get("head_bias", False),
+        hidden_bias=_boolean(section.get("hidden_bias", True), "model.hidden_bias"),
+        head_bias=_boolean(section.get("head_bias", False), "model.head_bias"),
     ))
     return model, _train_cfg_from(config, seed, out_dir)
 
@@ -326,7 +336,8 @@ def cmd_attribution(config: dict, out_dir: str | None = None,
     run_seed = _integer(config.get("seed", 0), "seed", seed)
     test_set = _datasets_from(config, train=False)[1]
     attack = _attack_from(config)
-    clean = bool(section.get("clean", False)) or attack is None or attack.epsilon == 0.0
+    clean = (_boolean(section.get("clean", False), "attribution.clean")
+             or attack is None or attack.epsilon == 0.0)
     paths = [section["checkpoint"]]
     if section.get("checkpoint_last"):
         paths.append(section["checkpoint_last"])

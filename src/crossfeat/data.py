@@ -188,15 +188,14 @@ def save_tabular(dataset: Dataset, path: str, format: str = "delimited-text") ->
     """Write a dataset to disk; see module docstring for the layouts."""
     if format not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got {format!r}")
+    sep = "," if format == "delimited-text" else " "
+    # "%.17g" % v writes the same digits as f"{v:.17g}", one row at a time.
+    row_format = sep.join(["%.17g"] * dataset.inputs.shape[1] + ["%d"]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         if format == "delimited-text":
             fh.write(f"{dataset.inputs.shape[1]},{dataset.class_count}\n")
-            sep = ","
-        else:
-            sep = " "
-        for row, label in zip(dataset.inputs, dataset.labels):
-            cells = [f"{v:.17g}" for v in row] + [str(int(label))]
-            fh.write(sep.join(cells) + "\n")
+        for row, label in zip(dataset.inputs, dataset.labels.tolist()):
+            fh.write(row_format % (*row.tolist(), label))
 
 
 def load_tabular(path: str, format: str = "delimited-text",
@@ -210,15 +209,9 @@ def load_tabular(path: str, format: str = "delimited-text",
     if format not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got {format!r}")
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        return Dataset(np.zeros((0, 0)), np.zeros(0, dtype=np.int64),
-                       class_count or 0, {"path": path})
-    start = 0
-    dims = None
-    declared = class_count
-    if format == "delimited-text":
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    start, dims, declared = 0, None, class_count
+    if format == "delimited-text" and lines:
         header = lines[0].split(",")
         if len(header) != 2:
             raise ValueError(f"{path}:1: expected header '<dims>,<classes>', got {lines[0]!r}")
@@ -227,26 +220,41 @@ def load_tabular(path: str, format: str = "delimited-text",
         except ValueError as exc:
             raise ValueError(f"{path}:1: non-integer header field: {exc}") from exc
         start = 1
-        if len(lines) == 1:  # what save_tabular writes for an empty dataset
-            return Dataset(np.zeros((0, dims)), np.zeros(0, dtype=np.int64),
-                           declared, {"path": path})
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    for offset, line in enumerate(lines[start:], start=start + 1):
-        cells = line.split(",") if format == "delimited-text" else line.split()
-        if len(cells) < 2:
-            raise ValueError(f"{path}:{offset}: need at least one feature and a label")
+    body = lines[start:]
+    if not body:  # an empty file, or the header save_tabular writes for no rows
+        return Dataset(np.zeros((0, dims or 0)), np.zeros(0, dtype=np.int64),
+                       declared or 0, {"path": path})
+    sep = "," if format == "delimited-text" else None
+    inputs = None
+    # One C-level pass.  numpy also strips \x1c-\x1f around a number, which
+    # float() rejects, so such text takes the checking loop below.
+    if not any(c in line for line in body for c in "\x1c\x1d\x1e\x1f"):
         try:
-            rows.append([float(c) for c in cells[:-1]])
-            labels.append(int(cells[-1]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{offset}: unparseable value: {exc}") from exc
-        if dims is not None and len(rows[-1]) != dims:
-            raise ValueError(
-                f"{path}:{offset}: expected {dims} features, got {len(rows[-1])}")
-        if len(rows[-1]) != len(rows[0]):
-            raise ValueError(
-                f"{path}:{offset}: ragged row ({len(rows[-1])} vs {len(rows[0])} features)")
+            table = np.loadtxt(body, delimiter=sep, comments=None, ndmin=2)
+            labels = [int(line.rsplit(sep, 1)[-1]) for line in body]
+        except ValueError:
+            table = np.zeros((0, 0))
+        if (len(table) == len(body) and table.shape[1] >= 2
+                and (dims is None or dims == table.shape[1] - 1)):
+            inputs = np.ascontiguousarray(table[:, :-1])
+    if inputs is None:  # names the file and line of the first fault
+        rows, labels = [], []
+        for offset, line in enumerate(body, start=start + 1):
+            cells = line.split(sep)
+            if len(cells) < 2:
+                raise ValueError(f"{path}:{offset}: need at least one feature and a label")
+            try:
+                rows.append([float(c) for c in cells[:-1]])
+                labels.append(int(cells[-1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{offset}: unparseable value: {exc}") from exc
+            if dims is not None and len(rows[-1]) != dims:
+                raise ValueError(
+                    f"{path}:{offset}: expected {dims} features, got {len(rows[-1])}")
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(
+                    f"{path}:{offset}: ragged row ({len(rows[-1])} vs {len(rows[0])} features)")
+        inputs = np.array(rows)
     label_arr = np.array(labels, dtype=np.int64)
     if label_arr.min() < 0:
         raise ValueError(f"{path}: negative label {label_arr.min()}")
@@ -257,4 +265,4 @@ def load_tabular(path: str, format: str = "delimited-text",
         raise ValueError(
             f"{path}:{start + bad + 1}: label {label_arr[bad]} out of range "
             f"for {declared} classes")
-    return Dataset(np.array(rows), label_arr, declared, {"path": path})
+    return Dataset(inputs, label_arr, declared, {"path": path})

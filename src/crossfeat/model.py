@@ -69,10 +69,8 @@ class Affine:
         if self.bias is not None:
             self.bias = as_array(self.bias, name="bias")
             if self.bias.shape != (self.weights.shape[0],):
-                raise ValueError(
-                    f"bias shape {self.bias.shape} does not match "
-                    f"{self.weights.shape[0]} outputs"
-                )
+                raise ValueError(f"bias shape {self.bias.shape} does not match "
+                                 f"{self.weights.shape[0]} outputs")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.weights.T
@@ -159,15 +157,9 @@ class Classifier:
         }
 
     def copy(self) -> "Classifier":
-        hidden = [
-            Affine(l.weights.copy(), None if l.bias is None else l.bias.copy())
-            for l in self.hidden
-        ]
-        head = Affine(
-            self.head.weights.copy(),
-            None if self.head.bias is None else self.head.bias.copy(),
-        )
-        return Classifier(hidden, head)
+        def dup(layer: Affine) -> Affine:
+            return Affine(layer.weights.copy(), None if layer.bias is None else layer.bias.copy())
+        return Classifier([dup(layer) for layer in self.hidden], dup(self.head))
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +224,8 @@ def _check_batch(model: Classifier, x) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"inputs must be 2-D (batch, dim), got shape {arr.shape}")
     if arr.shape[1] != model.input_dim:
-        raise ValueError(
-            f"input dim {arr.shape[1]} does not match model dim {model.input_dim}"
-        )
+        raise ValueError(f"input dim {arr.shape[1]} does not match model dim "
+                         f"{model.input_dim}")
     return arr
 
 
@@ -441,14 +432,9 @@ def save_checkpoint(model: Classifier, path: str, epoch: int = 0,
         "epoch": int(epoch),
         "metrics": metrics or {},
     }
-    arrays = {name: arr for name, arr in model.param_items()}
     buf = io.BytesIO()
-    np.savez(
-        buf,
-        meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
-                           dtype=np.uint8),
-        **arrays,
-    )
+    np.savez(buf, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
+                                     dtype=np.uint8), **dict(model.param_items()))
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(buf.getvalue())
@@ -465,16 +451,12 @@ def load_checkpoint(path: str) -> tuple[Classifier, int, dict]:
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         arch = meta["architecture"]
-        hidden = []
-        for i in range(len(arch["hidden_widths"])):
-            w = bundle[f"hidden.{i}.weights"]
-            b = bundle[f"hidden.{i}.bias"] if arch["hidden_bias"] else None
-            hidden.append(Affine(w, b))
-        head = Affine(
-            bundle["head.weights"],
-            bundle["head.bias"] if arch["head_bias"] else None,
-        )
-    model = Classifier(hidden, head)
+
+        def layer(name: str, bias: bool) -> Affine:
+            return Affine(bundle[f"{name}.weights"], bundle[f"{name}.bias"] if bias else None)
+        model = Classifier([layer(f"hidden.{i}", arch["hidden_bias"])
+                            for i in range(len(arch["hidden_widths"]))],
+                           layer("head", arch["head_bias"]))
     got = model.architecture()
     if got != arch:
         raise ValueError(f"{path}: architecture mismatch ({got} vs {arch})")

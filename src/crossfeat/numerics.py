@@ -63,9 +63,8 @@ class RngStream:
         if not (0 <= int(self.seed) <= _MASK64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not (0 <= int(self.stream_id) <= _MASK64):
-            raise ValueError(
-                f"stream_id must be a 64-bit unsigned integer, got {self.stream_id}"
-            )
+            raise ValueError(f"stream_id must be a 64-bit unsigned integer, "
+                             f"got {self.stream_id}")
 
     @property
     def generator(self) -> np.random.Generator:

@@ -143,9 +143,7 @@ class RunRecord:
     last_model: Classifier
 
     def best_row(self) -> EpochRow | None:
-        if self.best_epoch is None:
-            return None
-        return self.rows[self.best_epoch]
+        return None if self.best_epoch is None else self.rows[self.best_epoch]
 
     def last_row(self) -> EpochRow | None:
         return self.rows[-1] if self.rows else None
@@ -231,9 +229,8 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
     loss_spec = _loss_spec(cfg)
     eval_attack = cfg.resolved_eval_attack()
     root = RngStream(cfg.seed)
-    shuffle_stream, attack_stream, eval_stream = (root.split(1), root.split(2),
-                                                  root.split(3))
-    train_eval_stream = root.split(4)
+    shuffle_stream, attack_stream, eval_stream, train_eval_stream = (
+        root.split(k) for k in (1, 2, 3, 4))
     opt_state = None
     rows: list[EpochRow] = []
     best = (-1.0, None, model.copy())  # (test robust acc, epoch, model)
@@ -376,11 +373,8 @@ def detect_collapse(rows: list[EpochRow], rise: float = 0.2,
         elif row.test_robust_acc < floor:
             collapse_epoch = row.epoch
             break
-    result = {
-        "occurred": collapse_epoch is not None,
-        "peak_epoch": exceeded_epoch,
-        "collapse_epoch": collapse_epoch,
-    }
+    result = {"occurred": collapse_epoch is not None, "peak_epoch": exceeded_epoch,
+              "collapse_epoch": collapse_epoch}
     if rows:
         best = max(rows, key=lambda r: (r.test_robust_acc, -r.epoch))
         result["cas_best"] = best.cas

@@ -1,6 +1,8 @@
 """Tests for attribution vectors, the class similarity matrix, CAS, and the
 instance-wise variant."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from crossfeat.attribution import (attribution_vectors, cas,
                                    matrix_diff, save_matrix)
 from crossfeat.data import Dataset
 from crossfeat.model import Affine, Classifier, features, forward
-from crossfeat.numerics import RngStream
+from crossfeat.numerics import RngStream, unit_rows
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -208,6 +210,38 @@ class TestInstanceCas:
                 expected[i, j] = total / len(rows_i)
         assert np.allclose(matrix, expected, atol=1e-12)
         assert score == pytest.approx(cas(expected), abs=1e-12)
+
+    def test_row_blocks_match_the_full_cosine_matrix(self):
+        # Class sizes that are not multiples of the 256-row block.
+        gen = RngStream(7, stream_id=90).generator
+        sizes = (700, 300, 257)
+        labels = np.concatenate([np.full(n, c) for c, n in enumerate(sizes)])
+        gen.shuffle(labels)
+        data = Dataset(gen.normal(size=(len(labels), 10)), labels, 3)
+        model = Classifier.create(10, (32,), 3, RngStream(7, stream_id=91))
+        matrix, score = instance_cas_matrix(model, data)
+        feats = features(model, data.inputs)
+        units = [unit_rows(feats[data.class_indices(c)] * model.head.weights[c])
+                 for c in range(3)]
+        expected = np.array([[(ui @ uj.T).max(axis=1).mean() for uj in units]
+                             for ui in units])
+        assert np.array_equal(matrix, expected)
+        assert score == cas(expected)
+
+    def test_memory_stays_below_one_full_cosine_matrix(self):
+        # One unblocked 2,000 x 2,000 cosine matrix alone is 30.5 MiB.
+        k, per_class = 3, 2000
+        gen = RngStream(3, stream_id=90).generator
+        data = Dataset(gen.normal(size=(k * per_class, 36)),
+                       np.repeat(np.arange(k), per_class), k)
+        model = Classifier.create(36, (32, 32), k, RngStream(3, stream_id=91))
+        tracemalloc.start()
+        try:
+            instance_cas_matrix(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_matrix_is_generally_asymmetric(self):
         model = linear([[1.0, 0.0], [1.0, 1.0]])

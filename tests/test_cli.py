@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import crossfeat
-from crossfeat import cli
+from crossfeat import cli, training
 from crossfeat.attribution import (cas, class_attribution_matrix,
                                    instance_cas_matrix, load_matrix)
 from crossfeat.cli import (ConfigError, cmd_attribution, cmd_eval,
@@ -160,7 +160,7 @@ class TestTrainCmd:
 
     def test_records_file_has_the_bytes_save_records_writes(self, tmp_path,
                                                             monkeypatch):
-        # train() writes records.jsonl, then Report.write overwrites it.
+        # train() writes records.jsonl; Report.write leaves it as it is.
         runs = []
 
         def recording_train(*args):
@@ -172,6 +172,20 @@ class TestTrainCmd:
         save_records([asdict(row) for row in runs[0].rows], str(tmp_path / "direct.jsonl"))
         assert (tmp_path / "run" / "records.jsonl").read_bytes() == \
             (tmp_path / "direct.jsonl").read_bytes()
+
+    def test_records_file_is_written_once(self, tmp_path, monkeypatch):
+        written = []
+
+        def recording_save(records, path):
+            written.append(path)
+            save_records(records, path)
+
+        monkeypatch.setattr(cli, "save_records", recording_save)
+        monkeypatch.setattr(training, "save_records", recording_save)
+        cmd_train(base_config(), out_dir=str(tmp_path / "run"))
+        path = str(tmp_path / "run" / "records.jsonl")
+        assert written.count(path) == 1
+        assert os.path.getsize(path) > 0
 
     def test_seed_override_changes_run(self, tmp_path):
         base = cmd_train(base_config(), seed=1)
@@ -551,6 +565,38 @@ class TestIntegerSettings:
                 "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+class TestBooleanSettings:
+    """A switch that is not JSON true or false is a config error that names
+    its key: bool("false") would turn it on."""
+
+    @pytest.mark.parametrize("command, keys, value, message", [
+        ("attribution", ("attribution", "clean"), "false",
+         "attribution.clean: expected true or false, got 'false'"),
+        ("train", ("model", "hidden_bias"), "no",
+         "model.hidden_bias: expected true or false, got 'no'"),
+        ("train", ("model", "head_bias"), 1,
+         "model.head_bias: expected true or false, got 1"),
+        ("gen-data", ("data", "planted", "rotate"), "false",
+         "data.planted.rotate: expected true or false, got 'false'"),
+        ("train", ("attack", "random_start"), "true",
+         "attack.random_start: expected true or false, got 'true'"),
+        ("train", ("eval_attack", "random_start"), 0,
+         "eval_attack.random_start: expected true or false, got 0"),
+    ])
+    def test_exits_two_naming_the_key(self, tmp_path, capsys, command, keys, value,
+                                      message):
+        config = base_config(attribution={"checkpoint": str(tmp_path / "none.ckpt")})
+        section = config
+        for key in keys[:-1]:
+            section = section.setdefault(key, {})
+        section[keys[-1]] = value
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, config), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 class TestMain:

@@ -1,8 +1,15 @@
 """Tests for the planted-feature generator and tabular file IO."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from crossfeat.cli import main
 from crossfeat.data import (Dataset, PlantedSpec, generate_planted,
                             load_tabular, pair_index, save_tabular)
 
@@ -244,3 +251,177 @@ class TestTabularIO:
         path.write_text("2,2\n0\n")
         with pytest.raises(ValueError, match="at least one feature"):
             load_tabular(str(path))
+
+
+def ok(inputs, shape, labels, class_count):
+    return ("ok", np.array(inputs, dtype=float).reshape(shape), labels, class_count)
+
+
+def err(message):
+    return ("err", message)
+
+
+# (id, format, class_count, file text, outcome).  The outcomes are those of
+# the per-line reader that came before the one-pass parse: numpy's parser
+# rejects some text that float() and int() accept (1_0, non-ASCII digits),
+# and such text must still load through the per-line loop.
+PARITY = [
+    ('bad_header_three_fields', 'delimited-text', None, '3,2,9\n1,2,3,0\n',
+     err("{path}:1: expected header '<dims>,<classes>', got '3,2,9'")),
+    ('non_integer_header', 'delimited-text', None, 'three,2\n1,2,3,0\n',
+     err("{path}:1: non-integer header field: invalid literal for int() with base 10: 'three'")),
+    ('wrong_feature_count', 'delimited-text', None, '2,2\n1,2,0\n1,2,3,1\n',
+     err('{path}:3: expected 2 features, got 3')),
+    ('ragged_raw_row', 'raw-matrix', None, '1 2 0\n1 2 3 1\n',
+     err('{path}:2: ragged row (3 vs 2 features)')),
+    ('unparseable_feature', 'delimited-text', None, '2,2\n1,x,0\n',
+     err("{path}:2: unparseable value: could not convert string to float: 'x'")),
+    ('label_out_of_declared_range', 'delimited-text', None, '2,2\n1,2,0\n3,4,2\n',
+     err('{path}:3: label 2 out of range for 2 classes')),
+    ('label_out_of_given_range', 'raw-matrix', 2, '1 2 0\n3 4 2\n',
+     err('{path}:2: label 2 out of range for 2 classes')),
+    ('negative_label', 'raw-matrix', None, '1 2 -1\n',
+     err('{path}: negative label -1')),
+    ('too_few_cells', 'delimited-text', None, '2,2\n0\n',
+     err('{path}:2: need at least one feature and a label')),
+    ('one_column_raw', 'raw-matrix', None, '3\n4\n',
+     err('{path}:1: need at least one feature and a label')),
+    ('zero_dims_header', 'delimited-text', None, '0,2\n1\n',
+     err('{path}:2: need at least one feature and a label')),
+    ('empty_file', 'delimited-text', None, '',
+     ok([], (0, 0), [], 0)),
+    ('empty_file_raw_given_count', 'raw-matrix', 3, '',
+     ok([], (0, 0), [], 3)),
+    ('header_only', 'delimited-text', None, '3,4\n',
+     ok([], (0, 3), [], 4)),
+    ('underscore_feature', 'delimited-text', None, '2,2\n1_0,2,1\n',
+     ok([[10.0, 2.0]], (1, 2), [1], 2)),
+    ('underscore_label', 'raw-matrix', None, '1 2 1_0\n',
+     ok([[1.0, 2.0]], (1, 2), [10], 11)),
+    ('arabic_indic_digit_feature', 'delimited-text', None, '2,2\n١,2,1\n',
+     ok([[1.0, 2.0]], (1, 2), [1], 2)),
+    ('arabic_indic_digit_label', 'raw-matrix', None, '1 2 ١\n',
+     ok([[1.0, 2.0]], (1, 2), [1], 2)),
+    ('float_label', 'delimited-text', None, '2,2\n1,2,1.0\n',
+     err("{path}:2: unparseable value: invalid literal for int() with base 10: '1.0'")),
+    ('hash_inside_a_cell', 'delimited-text', None, '2,2\n1,2#3,0\n',
+     err("{path}:2: unparseable value: could not convert string to float: '2#3'")),
+    ('hash_comment_after_label', 'raw-matrix', None, '1 2 0 # note\n',
+     err("{path}:1: unparseable value: could not convert string to float: '#'")),
+    ('blank_line_mid_file', 'delimited-text', None, '2,2\n1,2,0\n\n3,4,1\n',
+     ok([[1.0, 2.0], [3.0, 4.0]], (2, 2), [0, 1], 2)),
+    ('whitespace_line_mid_file', 'delimited-text', None, '2,2\n1,2,0\n \t \n3,4,1\n',
+     ok([[1.0, 2.0], [3.0, 4.0]], (2, 2), [0, 1], 2)),
+    ('fault_after_blank_line', 'delimited-text', None, '2,2\n1,2,0\n\n3,x,1\n',
+     err("{path}:3: unparseable value: could not convert string to float: 'x'")),
+    ('crlf_endings', 'delimited-text', None, '2,2\r\n1,2,0\r\n3,4,1\r\n',
+     ok([[1.0, 2.0], [3.0, 4.0]], (2, 2), [0, 1], 2)),
+    ('cr_endings', 'raw-matrix', None, '1 2 0\r3 4 1\r',
+     ok([[1.0, 2.0], [3.0, 4.0]], (2, 2), [0, 1], 2)),
+    ('padded_cells', 'delimited-text', None, '2,2\n 1 ,\t2\t, 0 \n  3,4 ,1\n',
+     ok([[1.0, 2.0], [3.0, 4.0]], (2, 2), [0, 1], 2)),
+    ('padded_raw_cells', 'raw-matrix', None, '  1\t2   0  \n3 4 1\t\n',
+     ok([[1.0, 2.0], [3.0, 4.0]], (2, 2), [0, 1], 2)),
+    ('unicode_space_padding', 'delimited-text', None, '2,2\n\xa01,2\u3000,0\n',
+     ok([[1.0, 2.0]], (1, 2), [0], 2)),
+    ('file_separator_padding', 'delimited-text', None, '2,2\n\x1c1,2,0\n',
+     err("{path}:2: unparseable value: could not convert string to float: '\\x1c1'")),
+    ('trailing_comma', 'delimited-text', None, '2,2\n1,2,0,\n',
+     err("{path}:2: unparseable value: invalid literal for int() with base 10: ''")),
+    ('empty_cell', 'delimited-text', None, '2,2\n1,,0\n',
+     err("{path}:2: unparseable value: could not convert string to float: ''")),
+    ('extreme_values', 'raw-matrix', None, '-0.0 5e-324 1e308 -1e308 2.2250738585072014e-308 0\n',
+     ok([[-0.0, 5e-324, 1e+308, -1e+308, 2.2250738585072014e-308]], (1, 5), [0], 1)),
+    ('signs_and_exponents', 'delimited-text', None, '3,2\n+1.5,-.25,1E-3,1\n',
+     ok([[1.5, -0.25, 0.001]], (1, 3), [1], 2)),
+    ('nan_feature', 'delimited-text', None, '2,2\nnan,2,0\n',
+     err('inputs contains NaN or inf')),
+    ('overflow_to_inf', 'raw-matrix', None, '1e400 2 0\n',
+     err('inputs contains NaN or inf')),
+]
+
+
+class TestTabularParity:
+    @pytest.mark.parametrize("name, fmt, class_count, text, outcome", PARITY,
+                             ids=[row[0] for row in PARITY])
+    def test_same_dataset_or_error(self, tmp_path, name, fmt, class_count, text, outcome):
+        path = tmp_path / "case.txt"
+        path.write_bytes(text.encode("utf-8"))
+        if outcome[0] == "err":
+            with pytest.raises(ValueError) as info:
+                load_tabular(str(path), fmt, class_count)
+            assert str(info.value) == outcome[1].format(path=path)
+            return
+        _, inputs, labels, count = outcome
+        loaded = load_tabular(str(path), fmt, class_count)
+        assert loaded.inputs.shape == inputs.shape
+        assert loaded.inputs.tobytes() == inputs.tobytes()
+        assert loaded.inputs.flags.c_contiguous
+        assert loaded.labels.tolist() == labels
+        assert loaded.class_count == count
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 5))
+    inputs = draw(hnp.arrays(np.float64, (rows, cols), elements=FINITE))
+    classes = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, classes - 1), min_size=rows, max_size=rows))
+    return Dataset(inputs, np.array(labels), classes)
+
+
+EXTREMES = Dataset(np.array([[-0.0, 5e-324, 1e308], [-1e308, 2.2250738585072014e-308, 0.0]]),
+                   np.array([0, 1]), 2)
+
+
+class TestTabularRoundTrip:
+    @given(datasets(), st.sampled_from(["delimited-text", "raw-matrix"]))
+    @settings(max_examples=60, deadline=None)
+    @example(EXTREMES, "delimited-text")
+    @example(EXTREMES, "raw-matrix")
+    def test_bit_exact(self, tmp_path_factory, dataset, fmt):
+        path = str(tmp_path_factory.mktemp("round") / "data.txt")
+        save_tabular(dataset, path, fmt)
+        loaded = load_tabular(path, fmt, dataset.class_count)
+        assert loaded.inputs.tobytes() == dataset.inputs.tobytes()
+        assert np.array_equal(loaded.labels, dataset.labels)
+        # Each row is written as the 17-digit f-string rendering of its values.
+        sep = "," if fmt == "delimited-text" else " "
+        header = f"{dataset.inputs.shape[1]},{dataset.class_count}\n" if sep == "," else ""
+        lines = [sep.join([f"{v:.17g}" for v in row] + [str(int(label))]) + "\n"
+                 for row, label in zip(dataset.inputs, dataset.labels)]
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == header + "".join(lines)
+
+
+class TestGenDataBytes:
+    # sha256 of what gen-data and save_tabular wrote for this spec before rows
+    # were written with one precompiled format.
+    SPEC = {"classes": 3, "replication": 1, "noise_dims": 2, "n_train": 3, "n_test": 2,
+            "seed": 11}
+    DELIMITED = {
+        "train.csv": "a7f144da1e299e763ed10681c93a07956b20a5655a59a493edc4a9d012a56b54",
+        "test.csv": "856cde4b65175bff57fb0dfc64dbe3960ef9d995b7e34742a72a7932cef33fa6",
+    }
+    RAW = {
+        "train": "44fe00fb6f26e1e109c7e81f0988401ebed63fe344203fbf424789ac91f1be3c",
+        "test": "65a625e627351ca258ae6b70612a44e57e21c43270ea759414df3f4ded8e79bf",
+    }
+
+    def test_gen_data_files(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": {"planted": self.SPEC}}))
+        assert main(["gen-data", "--config", str(config), "--out", str(tmp_path)]) == 0
+        for name, digest in self.DELIMITED.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_raw_matrix_files(self, tmp_path):
+        train, test = generate_planted(PlantedSpec(**self.SPEC))
+        for name, dataset in (("train", train), ("test", test)):
+            path = tmp_path / name
+            save_tabular(dataset, str(path), "raw-matrix")
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == self.RAW[name]

@@ -350,6 +350,22 @@ class TestPairMarginProb:
         se = math.sqrt(closed * (1 - closed) / n)
         assert abs(mc - closed) <= 3.0 * se
 
+    @pytest.mark.parametrize("w2", [0.0, 0.7, 2.5])
+    def test_mc_compares_the_first_two_columns_of_linear_logits(self, w2):
+        # The MC method computes logits 0 and 1 alone; they must be the
+        # columns linear_logits gives for the same perturbed batch.
+        h = LinearHypothesis(1.3, w2)
+        n = 50_000
+        batch = sample(self.P, 1, n, RngStream(15, stream_id=70))
+        batch.x_e[:, 0] -= self.P.eps
+        batch.x_e[:, 1] += self.P.eps
+        batch.x_c[:, 0] += self.P.eps
+        batch.x_c[:, 1] -= self.P.eps
+        logits = linear_logits(h, batch.x_e, batch.x_c)
+        expected = float(np.mean(logits[:, 0] > logits[:, 1]))
+        assert pair_margin_prob(self.P, h, method="mc", n_samples=n,
+                                rng=RngStream(15, stream_id=70)) == expected
+
     def test_paper_convention_widens_the_noise(self):
         h = LinearHypothesis(1.0, 0.7)
         exact = pair_margin_prob(self.P, h)
