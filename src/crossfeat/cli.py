@@ -174,6 +174,8 @@ def _train_cfg_from(config: dict, seed: int, out_dir: str | None) -> TrainConfig
         raise ConfigError("train.epochs is required")
     attack = _attack_from(config) or AttackConfig()
     if "decay_fractions" in section:
+        if not isinstance(section["decay_fractions"], list):
+            raise ConfigError("train.decay_fractions: expected a JSON list of numbers")
         section["decay_fractions"] = tuple(section["decay_fractions"])
     return _build("train", TrainConfig, dict(
         section, attack=attack, eval_attack=_attack_from(config, "eval_attack"),
@@ -375,8 +377,8 @@ def _sweep_cells(section: dict) -> list[tuple[float, str, int]]:
     epsilons = section.get("epsilons")
     modes = section.get("modes")
     seeds = section.get("seeds", [1, 2, 3])
-    if not epsilons or not modes or not seeds:
-        raise ConfigError("sweep requires nonempty epsilons, modes, and seeds")
+    if not all(isinstance(v, list) and v for v in (epsilons, modes, seeds)):
+        raise ConfigError("sweep requires nonempty JSON lists epsilons, modes, and seeds")
     for eps in epsilons:
         if isinstance(eps, bool) or not isinstance(eps, (int, float)):
             raise ConfigError(f"sweep.epsilons: expected numbers, got {eps!r}")

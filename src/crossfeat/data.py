@@ -209,18 +209,19 @@ def load_tabular(path: str, format: str = "delimited-text",
     if format not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got {format!r}")
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
     start, dims, declared = 0, None, class_count
     if format == "delimited-text" and lines:
-        header = lines[0].split(",")
+        number, text = lines[0]
+        header = text.split(",")
         if len(header) != 2:
-            raise ValueError(f"{path}:1: expected header '<dims>,<classes>', got {lines[0]!r}")
+            raise ValueError(f"{path}:{number}: expected header '<dims>,<classes>', got {text!r}")
         try:
             dims, declared = int(header[0]), int(header[1])
         except ValueError as exc:
-            raise ValueError(f"{path}:1: non-integer header field: {exc}") from exc
+            raise ValueError(f"{path}:{number}: non-integer header field: {exc}") from exc
         start = 1
-    body = lines[start:]
+    numbers, body = [n for n, _ in lines[start:]], [text for _, text in lines[start:]]
     if not body:  # an empty file, or the header save_tabular writes for no rows
         return Dataset(np.zeros((0, dims or 0)), np.zeros(0, dtype=np.int64),
                        declared or 0, {"path": path})
@@ -239,23 +240,27 @@ def load_tabular(path: str, format: str = "delimited-text",
             inputs = np.ascontiguousarray(table[:, :-1])
     if inputs is None:  # names the file and line of the first fault
         rows, labels = [], []
-        for offset, line in enumerate(body, start=start + 1):
+        for number, line in zip(numbers, body):
             cells = line.split(sep)
             if len(cells) < 2:
-                raise ValueError(f"{path}:{offset}: need at least one feature and a label")
+                raise ValueError(f"{path}:{number}: need at least one feature and a label")
             try:
                 rows.append([float(c) for c in cells[:-1]])
                 labels.append(int(cells[-1]))
             except ValueError as exc:
-                raise ValueError(f"{path}:{offset}: unparseable value: {exc}") from exc
+                raise ValueError(f"{path}:{number}: unparseable value: {exc}") from exc
             if dims is not None and len(rows[-1]) != dims:
                 raise ValueError(
-                    f"{path}:{offset}: expected {dims} features, got {len(rows[-1])}")
+                    f"{path}:{number}: expected {dims} features, got {len(rows[-1])}")
             if len(rows[-1]) != len(rows[0]):
                 raise ValueError(
-                    f"{path}:{offset}: ragged row ({len(rows[-1])} vs {len(rows[0])} features)")
+                    f"{path}:{number}: ragged row ({len(rows[-1])} vs {len(rows[0])} features)")
         inputs = np.array(rows)
-    label_arr = np.array(labels, dtype=np.int64)
+    try:
+        label_arr = np.array(labels, dtype=np.int64)
+    except OverflowError:
+        bad = next(i for i, label in enumerate(labels) if not -2**63 <= label < 2**63)
+        raise ValueError(f"{path}:{numbers[bad]}: label {labels[bad]} beyond int64") from None
     if label_arr.min() < 0:
         raise ValueError(f"{path}: negative label {label_arr.min()}")
     if declared is None:
@@ -263,6 +268,6 @@ def load_tabular(path: str, format: str = "delimited-text",
     if label_arr.max() >= declared:
         bad = int(np.argmax(label_arr >= declared))
         raise ValueError(
-            f"{path}:{start + bad + 1}: label {label_arr[bad]} out of range "
+            f"{path}:{numbers[bad]}: label {label_arr[bad]} out of range "
             f"for {declared} classes")
     return Dataset(inputs, label_arr, declared, {"path": path})

@@ -19,10 +19,9 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
-import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +33,6 @@ __all__ = [
     "CrossEntropy",
     "Distillation",
     "GradientBundle",
-    "LabelSmoothing",
-    "SgdState",
     "backward",
     "forward",
     "features",
@@ -169,14 +166,10 @@ class Classifier:
 
 @dataclass(frozen=True)
 class CrossEntropy:
-    """Mean cross-entropy against integer labels."""
+    """Mean cross-entropy against (1 - beta) * onehot + beta / (K - 1)
+    off-class mass; beta = 0 is the one-hot target."""
 
-
-@dataclass(frozen=True)
-class LabelSmoothing:
-    """Cross-entropy against (1 - beta) * onehot + beta / (K - 1) off-class mass."""
-
-    beta: float
+    beta: float = 0.0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.beta < 1.0):
@@ -202,7 +195,7 @@ class Distillation:
             raise ValueError(f"mix must lie in [0, 1], got {self.mix}")
 
 
-LossSpec = CrossEntropy | LabelSmoothing | Distillation
+LossSpec = CrossEntropy | Distillation
 
 
 @dataclass
@@ -311,44 +304,35 @@ def _loss_and_logit_grad(spec: LossSpec, logits: np.ndarray, labels: np.ndarray,
     stay exact for the distillation losses; it is None for teacher-free specs.
     """
     batch, classes = logits.shape
-    onehot = np.zeros_like(logits)
-    onehot[np.arange(batch), labels] = 1.0
-
-    def ce_parts(target: np.ndarray) -> tuple[float, np.ndarray]:
-        logp = log_softmax(logits)
-        loss = float(-(target * logp).sum() / batch)
-        return loss, (np.exp(logp) - target) / batch
-
-    if isinstance(spec, CrossEntropy):
-        return (*ce_parts(onehot), None)
-    if isinstance(spec, LabelSmoothing):
+    if not isinstance(spec, (CrossEntropy, Distillation)):
+        raise TypeError(f"unknown loss spec: {spec!r}")
+    target = np.zeros_like(logits)
+    target[np.arange(batch), labels] = 1.0
+    if isinstance(spec, CrossEntropy) and spec.beta > 0.0:
         if classes < 2:
             raise ValueError("label smoothing needs at least 2 classes")
-        target = (1.0 - spec.beta) * onehot + (spec.beta / (classes - 1)) * (1.0 - onehot)
-        return (*ce_parts(target), None)
-    if isinstance(spec, Distillation):
-        temp = spec.temperature
-        teacher_logits, teacher_acts = _forward_cached(spec.teacher, x)
-        if teacher_logits.shape != logits.shape:
-            raise ValueError("teacher and student class counts differ")
-        q_t = softmax(teacher_logits / temp)
-        log_q_s = log_softmax(logits / temp)
-        q_s = np.exp(log_q_s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_q_t = np.where(q_t > 0.0, np.log(q_t), 0.0)
-        gap = log_q_t - log_q_s
-        kl = float((q_t * gap).sum() / batch)
-        kl_loss = temp * temp * kl
-        kl_grad = temp * (q_s - q_t) / batch
-        # d KL / d teacher logits = (diag(q_t) - q_t q_t^T)(log q_t - log q_s) / T.
-        d_teacher = q_t * (gap - (q_t * gap).sum(axis=1, keepdims=True))
-        d_teacher *= temp / batch
-        kl_dx = _backprop(spec.teacher, teacher_acts, d_teacher)
-        ce_loss, ce_grad = ce_parts(onehot)
-        loss = (1.0 - spec.mix) * ce_loss + spec.mix * kl_loss
-        return (loss, (1.0 - spec.mix) * ce_grad + spec.mix * kl_grad,
-                spec.mix * kl_dx)
-    raise TypeError(f"unknown loss spec: {spec!r}")
+        target = (1.0 - spec.beta) * target + (spec.beta / (classes - 1)) * (1.0 - target)
+    logp = log_softmax(logits)
+    loss = float(-(target * logp).sum() / batch)
+    grad = (np.exp(logp) - target) / batch
+    if isinstance(spec, CrossEntropy):
+        return loss, grad, None
+    temp = spec.temperature
+    teacher_logits, teacher_acts = _forward_cached(spec.teacher, x)
+    if teacher_logits.shape != logits.shape:
+        raise ValueError("teacher and student class counts differ")
+    q_t = softmax(teacher_logits / temp)
+    log_q_s = log_softmax(logits / temp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q_t = np.where(q_t > 0.0, np.log(q_t), 0.0)
+    gap = log_q_t - log_q_s
+    kl_loss = temp * temp * float((q_t * gap).sum() / batch)
+    kl_grad = temp * (np.exp(log_q_s) - q_t) / batch
+    # d KL / d teacher logits = (diag(q_t) - q_t q_t^T)(log q_t - log q_s) / T.
+    d_teacher = q_t * (gap - (q_t * gap).sum(axis=1, keepdims=True)) * (temp / batch)
+    kl_dx = _backprop(spec.teacher, teacher_acts, d_teacher)
+    return ((1.0 - spec.mix) * loss + spec.mix * kl_loss,
+            (1.0 - spec.mix) * grad + spec.mix * kl_grad, spec.mix * kl_dx)
 
 
 def backward(
@@ -380,38 +364,31 @@ def backward(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SgdState:
-    """Momentum buffers keyed like ``Classifier.param_items``."""
-
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
-
-
 def sgd_step(
     model: Classifier,
     grads: dict[str, np.ndarray],
     lr: float,
     momentum: float = 0.9,
     weight_decay: float = 5e-4,
-    state: SgdState | None = None,
-) -> SgdState:
+    state: dict[str, np.ndarray] | None = None,
+) -> dict[str, np.ndarray]:
     """One SGD step: v <- momentum*v + (grad + wd*theta); theta <- theta - lr*v.
 
-    Mutates the model parameters in place and returns the (possibly new)
-    optimizer state.  Weight decay applies to every parameter.
+    Mutates the model parameters in place and returns the momentum buffers
+    ``{parameter name: velocity}``, keyed like ``Classifier.param_items``;
+    ``state=None`` starts new ones.  Weight decay applies to every parameter.
     """
     if lr < 0:
         raise ValueError(f"lr must be non-negative, got {lr}")
     if state is None:
-        state = SgdState()
+        state = {}
     for name, param in model.param_items():
         if name not in grads:
             raise KeyError(f"missing gradient for parameter {name!r}")
         g = grads[name] + weight_decay * param
-        v = state.velocity.get(name)
-        if v is None:
-            v = np.zeros_like(param)
-            state.velocity[name] = v
+        if name not in state:
+            state[name] = np.zeros_like(param)
+        v = state[name]
         v *= momentum
         v += g
         param -= lr * v
@@ -432,12 +409,10 @@ def save_checkpoint(model: Classifier, path: str, epoch: int = 0,
         "epoch": int(epoch),
         "metrics": metrics or {},
     }
-    buf = io.BytesIO()
-    np.savez(buf, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
-                                     dtype=np.uint8), **dict(model.param_items()))
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(buf.getvalue())
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
+                                        dtype=np.uint8), **dict(model.param_items()))
     os.replace(tmp, path)
 
 

@@ -49,9 +49,8 @@ import numpy as np
 from .attack import AttackConfig, fgsm, pgd
 from .attribution import cas, class_attribution_matrix
 from .data import Dataset
-from .model import (Classifier, CrossEntropy, Distillation, LabelSmoothing,
-                    backward, forward, load_checkpoint, log_softmax,
-                    save_checkpoint, sgd_step)
+from .model import (Classifier, CrossEntropy, Distillation, backward, forward,
+                    load_checkpoint, log_softmax, save_checkpoint, sgd_step)
 from . import numerics
 from .numerics import RngStream, _fork_pool, _is_int, _run_jobs, _worker_count
 
@@ -109,8 +108,7 @@ class TrainConfig:
                 f"decay_fractions must be strictly increasing within (0, 1), got {fr}")
         if not (0.0 <= self.lambda_mix <= 1.0):
             raise ValueError(f"lambda_mix must lie in [0, 1], got {self.lambda_mix}")
-        if not (0.0 <= self.beta < 1.0):
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
+        CrossEntropy(self.beta)  # the one rule for beta
         if self.lr < 0 or self.decay_factor <= 0:
             raise ValueError("lr must be >= 0 and decay_factor > 0")
 
@@ -197,10 +195,8 @@ def evaluate(model: Classifier, dataset: Dataset,
 
 
 def _loss_spec(cfg: TrainConfig):
-    if cfg.mode in ("standard", "at", "fast_at"):
-        return CrossEntropy()
-    if cfg.mode == "at_ls":
-        return LabelSmoothing(cfg.beta)
+    if cfg.mode != "at_kd":
+        return CrossEntropy(cfg.beta if cfg.mode == "at_ls" else 0.0)
     if cfg.teacher is None:
         raise ValueError("mode=at_kd requires a teacher model or checkpoint path")
     teacher = cfg.teacher

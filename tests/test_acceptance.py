@@ -28,8 +28,7 @@ from crossfeat.attack import AttackConfig, pgd
 from crossfeat.attribution import (attribution_vectors, cas,
                                    class_attribution_matrix, instance_cas_matrix)
 from crossfeat.data import Dataset, PlantedSpec, generate_planted
-from crossfeat.model import (Classifier, CrossEntropy, Distillation,
-                             LabelSmoothing, backward, forward)
+from crossfeat.model import Classifier, CrossEntropy, Distillation, backward, forward
 from crossfeat.numerics import RngStream, cosine_similarity
 from crossfeat.synthetic import (LinearHypothesis, SyntheticParams, collapse_radius,
                                  frozen_linear_coefficients, linear_classifier,
@@ -255,7 +254,7 @@ class TestCriterion06:
             if k % 4 == 0:
                 spec = CrossEntropy()
             elif k % 4 == 1:
-                spec = LabelSmoothing(beta=0.2)
+                spec = CrossEntropy(beta=0.2)
             else:
                 teacher = Classifier.create(in_dim, widths, classes, stream.split(5))
                 _jitter(teacher, stream.split(6))

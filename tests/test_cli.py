@@ -599,6 +599,30 @@ class TestBooleanSettings:
         assert not out.exists()
 
 
+class TestListSettings:
+    """A scalar where a JSON list belongs is a config error that names its
+    key: iterating it would fail or walk a string's characters."""
+
+    SWEEP = "sweep requires nonempty JSON lists epsilons, modes, and seeds"
+
+    @pytest.mark.parametrize("command, keys, value, message", [
+        ("sweep", ("sweep", "epsilons"), 0.2, SWEEP),
+        ("sweep", ("sweep", "modes"), "at", SWEEP),
+        ("sweep", ("sweep", "seeds"), 3, SWEEP),
+        ("train", ("train", "decay_fractions"), 0.5,
+         "train.decay_fractions: expected a JSON list of numbers"),
+    ])
+    def test_exits_two_naming_the_key(self, tmp_path, capsys, command, keys, value,
+                                      message):
+        config = base_config(sweep={"epsilons": [0.2], "modes": ["at"], "seeds": [1]})
+        config[keys[0]][keys[1]] = value
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, config), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+
 class TestMain:
     def test_config_error_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, {"bogus": 1})

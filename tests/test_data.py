@@ -313,7 +313,23 @@ PARITY = [
     ('whitespace_line_mid_file', 'delimited-text', None, '2,2\n1,2,0\n \t \n3,4,1\n',
      ok([[1.0, 2.0], [3.0, 4.0]], (2, 2), [0, 1], 2)),
     ('fault_after_blank_line', 'delimited-text', None, '2,2\n1,2,0\n\n3,x,1\n',
-     err("{path}:3: unparseable value: could not convert string to float: 'x'")),
+     err("{path}:4: unparseable value: could not convert string to float: 'x'")),
+    ('label_out_of_range_after_blank_line', 'delimited-text', None, '2,2\n1,2,0\n\n3,4,2\n',
+     err('{path}:4: label 2 out of range for 2 classes')),
+    ('header_after_blank_line', 'delimited-text', None, '\n2,2,9\n1,2,0\n',
+     err("{path}:2: expected header '<dims>,<classes>', got '2,2,9'")),
+    ('non_integer_header_after_blank_line', 'delimited-text', None, '\n \ntwo,2\n1,2,0\n',
+     err("{path}:3: non-integer header field: invalid literal for int() with base 10: 'two'")),
+    ('feature_count_after_blank_header', 'delimited-text', None, '\n2,2\n1,2,3,0\n',
+     err('{path}:3: expected 2 features, got 3')),
+    ('label_beyond_int64', 'raw-matrix', None, '1 2 99999999999999999999\n',
+     err('{path}:1: label 99999999999999999999 beyond int64')),
+    ('label_beyond_int64_checking_loop', 'raw-matrix', None,
+     '1 2 0\n\n1_0 2 -99999999999999999999\n',
+     err('{path}:3: label -99999999999999999999 beyond int64')),
+    ('label_at_int64_limits', 'raw-matrix', 9223372036854775807,
+     '1 2 9223372036854775806\n3 4 -9223372036854775808\n',
+     err('{path}: negative label -9223372036854775808')),
     ('crlf_endings', 'delimited-text', None, '2,2\r\n1,2,0\r\n3,4,1\r\n',
      ok([[1.0, 2.0], [3.0, 4.0]], (2, 2), [0, 1], 2)),
     ('cr_endings', 'raw-matrix', None, '1 2 0\r3 4 1\r',

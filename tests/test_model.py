@@ -1,5 +1,6 @@
 """Tests for the MLP forward pass, hand-written gradients, SGD, checkpoints."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,9 +8,8 @@ import pytest
 
 import crossfeat.model
 from crossfeat.model import (Affine, Classifier, CrossEntropy, Distillation,
-                             LabelSmoothing, SgdState, backward, features,
-                             forward, load_checkpoint, log_softmax,
-                             save_checkpoint, sgd_step, softmax)
+                             backward, features, forward, load_checkpoint,
+                             log_softmax, save_checkpoint, sgd_step, softmax)
 from crossfeat.numerics import RngStream
 
 
@@ -198,7 +198,7 @@ class TestGradients:
                                     widths=(4,), classes=model.class_count), 18)
         return [
             CrossEntropy(),
-            LabelSmoothing(beta=0.2),
+            CrossEntropy(beta=0.2),
             Distillation(teacher, temperature=2.0, mix=1.0),
             Distillation(teacher, temperature=2.0, mix=0.5),
         ]
@@ -255,15 +255,26 @@ class TestGradients:
             backward(model, x, np.full(len(x), 3))
 
 
+def sha256(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
 class TestLossEquivalences:
-    def test_zero_beta_smoothing_equals_cross_entropy(self):
-        model = tiny_model()
+    def test_smoothed_cross_entropy_matches_recorded_bytes(self):
+        # sha256 of what the separate label-smoothing loss gave for beta = 0.2
+        # before it became CrossEntropy's beta field.
+        model = tiny_model(widths=(4, 3), head_bias=True)
         x, y = tiny_batch(model)
-        ce = backward(model, x, y, CrossEntropy())
-        ls = backward(model, x, y, LabelSmoothing(beta=0.0))
-        assert ls.loss == pytest.approx(ce.loss, abs=1e-15)
-        for name in ce.params:
-            assert np.allclose(ls.params[name], ce.params[name], atol=1e-15)
+        bundle = backward(model, x, y, CrossEntropy(beta=0.2))
+        assert sha256(np.float64(bundle.loss)) == (
+            "2c313f3d1957276214800f41dec5be4275fe3691493e83b84555745d367ac2dd")
+        assert sha256(bundle.inputs) == (
+            "7eb853a1370cd94ced2bb0e5d457568b5ce9c1b1588ca26330ddf771dab65e57")
+        assert sha256(*[bundle.params[name] for name, _ in model.param_items()]) == (
+            "494de6ebd5dca953525d15ed5e50bc38ea542a8102a150c1be1ffd81c0a98a5c")
 
     def test_distillation_mix_zero_equals_cross_entropy(self):
         model = tiny_model()
@@ -285,8 +296,10 @@ class TestLossEquivalences:
 
     def test_spec_validation(self):
         teacher = tiny_model()
+        with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\), got 1.0"):
+            CrossEntropy(beta=1.0)
         with pytest.raises(ValueError, match="beta"):
-            LabelSmoothing(beta=1.0)
+            CrossEntropy(beta=-0.1)
         with pytest.raises(ValueError, match="temperature"):
             Distillation(teacher, temperature=0.0, mix=1.0)
         with pytest.raises(ValueError, match="mix"):
@@ -343,11 +356,24 @@ class TestSgdStep:
         model = tiny_model()
         grads = {name: np.ones_like(arr) for name, arr in model.param_items()}
         state = sgd_step(model, grads, lr=0.0, momentum=0.9, weight_decay=0.0)
-        assert isinstance(state, SgdState)
-        assert np.allclose(state.velocity["head.weights"], 1.0)
+        assert list(state) == [name for name, _ in model.param_items()]
+        assert np.allclose(state["head.weights"], 1.0)
+        again = sgd_step(model, grads, lr=0.0, momentum=0.9, weight_decay=0.0, state=state)
+        assert again is state
+        assert np.allclose(state["head.weights"], 1.9)
 
 
 class TestCheckpoints:
+    def test_file_matches_recorded_bytes(self, tmp_path):
+        # sha256 of the file save_checkpoint wrote for this model when it
+        # first built the archive in memory.
+        model = tiny_model(widths=(4, 3), head_bias=True)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, str(path), epoch=3, metrics={"test_robust_acc": 0.5})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a4b48acf66b1086e7c7b93b605d1ef40a4224c53d58c5796e75e588c44cd53b6")
+        assert not (tmp_path / "model.ckpt.tmp").exists()
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         model = tiny_model(widths=(4, 3), head_bias=True)
         path = str(tmp_path / "model.npz")

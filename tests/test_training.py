@@ -14,8 +14,8 @@ import crossfeat.training
 from crossfeat.attack import AttackConfig, pgd
 from crossfeat.attribution import cas, class_attribution_matrix
 from crossfeat.data import Dataset, PlantedSpec, generate_planted
-from crossfeat.model import (Affine, Classifier, forward, load_checkpoint,
-                             save_checkpoint)
+from crossfeat.model import (Affine, Classifier, CrossEntropy, forward,
+                             load_checkpoint, save_checkpoint)
 from crossfeat.numerics import RngStream
 from crossfeat.training import (EpochRow, RunRecord, TrainConfig,
                                 TrainingDiverged, detect_collapse, evaluate,
@@ -64,6 +64,16 @@ class TestTrainConfig:
             TrainConfig(epochs=1, attack=attack, beta=1.0)
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(epochs=1, attack=attack, lr=-0.1)
+
+    def test_beta_rule_is_the_cross_entropy_rule(self):
+        attack = AttackConfig(epsilon=0.1)
+        for beta in (1.0, -0.5):
+            with pytest.raises(ValueError) as loss_error:
+                CrossEntropy(beta)
+            with pytest.raises(ValueError) as config_error:
+                TrainConfig(epochs=1, attack=attack, beta=beta)
+            assert str(config_error.value) == str(loss_error.value)
+            assert str(config_error.value) == f"beta must lie in [0, 1), got {beta}"
 
     def test_eval_attack_strips_random_start_by_default(self):
         cfg = tiny_cfg(attack=AttackConfig(epsilon=0.2, random_start=True))
