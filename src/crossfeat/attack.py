@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Classifier, CrossEntropy, _row_blocks, backward
+from .model import Classifier, CrossEntropy, _input_gradient, _row_blocks, backward
 from .numerics import RngStream, _is_int, as_array
 
 __all__ = ["AttackConfig", "fgsm", "pgd", "project"]
@@ -72,7 +72,7 @@ def _project(base: np.ndarray, point: np.ndarray, cfg: AttackConfig) -> np.ndarr
     # project() without the checks, for the PGD loop's already-validated rows.
     delta = point - base
     if cfg.norm == "linf":
-        delta = np.clip(delta, -cfg.epsilon, cfg.epsilon)
+        delta = _clip(delta, -cfg.epsilon, cfg.epsilon)
     else:
         flat = delta.reshape(len(delta), -1) if delta.ndim > 1 else delta.reshape(1, -1)
         norms = np.linalg.norm(flat, axis=1)
@@ -82,8 +82,12 @@ def _project(base: np.ndarray, point: np.ndarray, cfg: AttackConfig) -> np.ndarr
         delta = (flat * scale[:, None]).reshape(delta.shape)
     out = base + delta
     if cfg.input_bounds is not None:
-        out = np.clip(out, cfg.input_bounds[0], cfg.input_bounds[1])
+        out = _clip(out, cfg.input_bounds[0], cfg.input_bounds[1])
     return out
+
+
+def _clip(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return np.minimum(hi, np.maximum(lo, values))  # np.clip's bits: a tie keeps the value
 
 
 def _random_start(x: np.ndarray, cfg: AttackConfig, rng: RngStream) -> np.ndarray:
@@ -123,7 +127,8 @@ def pgd(
     itself.  The rows are attacked in 256-row blocks, each through all its
     steps before the next, so a block stays in cache.  With l2 the
     cross-entropy gradient is a block mean, which can move the last ulp of
-    the normalized step.
+    the normalized step.  Only a block's first step runs the checking
+    :func:`backward`; a later non-finite iterate fails the output check.
     """
     arr = as_array(x, name="x")
     labels = np.asarray(y)
@@ -142,11 +147,12 @@ def pgd(
     out = np.empty_like(arr)
     for rows in _row_blocks(len(arr)):
         base, current, y_block = arr[rows], start[rows], labels[rows]
-        for _ in range(cfg.steps):
-            bundle = backward(model, current, y_block, CrossEntropy(),
-                              include_params=False)
-            step = alpha * _ascent_direction(bundle.inputs, cfg.norm)
-            current = _project(base, current + step, cfg)
+        grad = backward(model, current, y_block, CrossEntropy(), include_params=False).inputs
+        target = np.eye(model.class_count)[y_block]
+        for step in range(cfg.steps):
+            if step:
+                grad = _input_gradient(model, current, target)
+            current = _project(base, current + alpha * _ascent_direction(grad, cfg.norm), cfg)
         out[rows] = current
     if not np.all(np.isfinite(out)):
         raise ValueError("pgd produced NaN or inf points")

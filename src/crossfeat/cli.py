@@ -134,14 +134,21 @@ def _boolean(value, location: str) -> bool:
     return value
 
 
+def _json_list(value, location: str, wanted: str) -> list:
+    if not isinstance(value, list):  # a scalar fails in Python's words; a string iterates
+        raise ConfigError(f"{location}: expected {wanted}")
+    return value
+
+
 def _attack_from(config: dict, key: str = "attack") -> AttackConfig | None:
     section = config.get(key)
     if section is None:
         return None
     kwargs = dict(section)
     _boolean(kwargs.get("random_start", False), f"{key}.random_start")
-    if isinstance(kwargs.get("input_bounds"), list):
-        kwargs["input_bounds"] = tuple(kwargs["input_bounds"])
+    if kwargs.get("input_bounds") is not None:
+        kwargs["input_bounds"] = tuple(_json_list(kwargs["input_bounds"], f"{key}.input_bounds",
+                                                  "a JSON list [lo, hi]"))
     return _build(key, AttackConfig, kwargs)
 
 
@@ -174,9 +181,9 @@ def _train_cfg_from(config: dict, seed: int, out_dir: str | None) -> TrainConfig
         raise ConfigError("train.epochs is required")
     attack = _attack_from(config) or AttackConfig()
     if "decay_fractions" in section:
-        if not isinstance(section["decay_fractions"], list):
-            raise ConfigError("train.decay_fractions: expected a JSON list of numbers")
-        section["decay_fractions"] = tuple(section["decay_fractions"])
+        section["decay_fractions"] = tuple(_json_list(section["decay_fractions"],
+                                                      "train.decay_fractions",
+                                                      "a JSON list of numbers"))
     return _build("train", TrainConfig, dict(
         section, attack=attack, eval_attack=_attack_from(config, "eval_attack"),
         seed=seed, out_dir=out_dir))
@@ -284,7 +291,9 @@ def _training_job(config: dict, seed: int, out_dir: str | None,
                   train_set: Dataset) -> tuple[Classifier, TrainConfig]:
     section = config.get("model", {})
     model = _build("model", Classifier.create, dict(
-        input_dim=train_set.inputs.shape[1], hidden_widths=section.get("hidden", [32, 32]),
+        input_dim=train_set.inputs.shape[1],
+        hidden_widths=_json_list(section.get("hidden", [32, 32]), "model.hidden",
+                                 "a JSON list of integers"),
         classes=train_set.class_count, rng=RngStream(seed).split(0),
         hidden_bias=_boolean(section.get("hidden_bias", True), "model.hidden_bias"),
         head_bias=_boolean(section.get("head_bias", False), "model.head_bias"),

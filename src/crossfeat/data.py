@@ -209,10 +209,14 @@ def load_tabular(path: str, format: str = "delimited-text",
     if format not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got {format!r}")
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+        lines = [ln.rstrip("\n") for ln in fh]
+    numbers = range(1, len(lines) + 1)
+    if not all(map(str.strip, lines)):  # blank lines drop out, so keep each line's number
+        numbers = [n for n, ln in zip(numbers, lines) if ln.strip()]
+        lines = [ln for ln in lines if ln.strip()]
     start, dims, declared = 0, None, class_count
     if format == "delimited-text" and lines:
-        number, text = lines[0]
+        number, text = numbers[0], lines[0]
         header = text.split(",")
         if len(header) != 2:
             raise ValueError(f"{path}:{number}: expected header '<dims>,<classes>', got {text!r}")
@@ -221,7 +225,7 @@ def load_tabular(path: str, format: str = "delimited-text",
         except ValueError as exc:
             raise ValueError(f"{path}:{number}: non-integer header field: {exc}") from exc
         start = 1
-    numbers, body = [n for n, _ in lines[start:]], [text for _, text in lines[start:]]
+    numbers, body = numbers[start:], lines[start:]
     if not body:  # an empty file, or the header save_tabular writes for no rows
         return Dataset(np.zeros((0, dims or 0)), np.zeros(0, dtype=np.int64),
                        declared or 0, {"path": path})
@@ -262,7 +266,8 @@ def load_tabular(path: str, format: str = "delimited-text",
         bad = next(i for i, label in enumerate(labels) if not -2**63 <= label < 2**63)
         raise ValueError(f"{path}:{numbers[bad]}: label {labels[bad]} beyond int64") from None
     if label_arr.min() < 0:
-        raise ValueError(f"{path}: negative label {label_arr.min()}")
+        bad = int(np.argmax(label_arr < 0))
+        raise ValueError(f"{path}:{numbers[bad]}: negative label {label_arr[bad]}")
     if declared is None:
         declared = int(label_arr.max()) + 1
     if label_arr.max() >= declared:

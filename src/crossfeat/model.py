@@ -25,23 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, _is_int, as_array
+from .numerics import RngStream, _is_int, _row_reduce, as_array
 
-__all__ = [
-    "Affine",
-    "Classifier",
-    "CrossEntropy",
-    "Distillation",
-    "GradientBundle",
-    "backward",
-    "forward",
-    "features",
-    "load_checkpoint",
-    "log_softmax",
-    "save_checkpoint",
-    "sgd_step",
-    "softmax",
-]
+__all__ = ["Affine", "Classifier", "CrossEntropy", "Distillation", "GradientBundle",
+           "backward", "forward", "features", "load_checkpoint", "log_softmax",
+           "save_checkpoint", "sgd_step", "softmax"]
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -255,8 +243,8 @@ def features(model: Classifier, x) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = logits - _row_reduce(np.maximum, logits)[:, None]
+    return z - np.log(_row_reduce(np.add, np.exp(z)))[:, None]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -295,6 +283,14 @@ def _backprop(model: Classifier, acts: list[np.ndarray], dlogits: np.ndarray,
     return dh
 
 
+def _input_gradient(model: Classifier, x: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``backward(model, x, y, CrossEntropy(), include_params=False).inputs``
+    for already-checked rows ``x`` and their one-hot ``target``, with the same
+    float operations and none of the checks."""
+    logits, acts = _forward_cached(model, x)
+    return _backprop(model, acts, (np.exp(log_softmax(logits)) - target) / len(x))
+
+
 def _loss_and_logit_grad(spec: LossSpec, logits: np.ndarray, labels: np.ndarray,
                          x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None]:
     """Returns (loss, d loss/d student logits, extra d loss/d inputs).
@@ -306,8 +302,7 @@ def _loss_and_logit_grad(spec: LossSpec, logits: np.ndarray, labels: np.ndarray,
     batch, classes = logits.shape
     if not isinstance(spec, (CrossEntropy, Distillation)):
         raise TypeError(f"unknown loss spec: {spec!r}")
-    target = np.zeros_like(logits)
-    target[np.arange(batch), labels] = 1.0
+    target = np.eye(classes)[labels]
     if isinstance(spec, CrossEntropy) and spec.beta > 0.0:
         if classes < 2:
             raise ValueError("label smoothing needs at least 2 classes")

@@ -154,6 +154,20 @@ def _outcome(function, job):
         return exc
 
 
+def _row_reduce(ufunc, block: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(block, axis=1)`` for ``np.maximum`` or ``np.add``, bit for
+    bit.  Below 8 columns numpy reduces each row in column order (a sum from
+    +0.0), so walking the columns gives its bits without a short-axis
+    reduction's per-row overhead; from 8 on it sums pairwise, and the sign of
+    a zero maximum is numpy's own."""
+    if block.shape[1] >= 8:
+        return ufunc.reduce(block, axis=1)
+    out = ufunc(-np.inf if ufunc is np.maximum else 0.0, block[:, 0])
+    for column in block.T[1:]:
+        ufunc(out, column, out=out)  # in place: a large block allocates once
+    return out
+
+
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF for a scalar, accurate to well below 1e-10.
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Affine, Classifier
-from .numerics import RngStream, _run_jobs, as_array, std_normal_cdf
+from .numerics import RngStream, _row_reduce, _run_jobs, as_array, std_normal_cdf
 
 __all__ = [
     "CheckRecord",
@@ -200,13 +200,7 @@ def sample_mixed(params: SyntheticParams, n: int, rng: RngStream) -> SyntheticBa
 
 def linear_logits(hypothesis: LinearHypothesis, x_e: np.ndarray, x_c: np.ndarray) -> np.ndarray:
     """All three logits for a batch, shape (n, 3)."""
-    return hypothesis.w1 * x_e + hypothesis.w2 * (_row_sums(x_c)[:, None] - x_c)
-
-
-def _row_sums(block: np.ndarray) -> np.ndarray:
-    # block.sum(axis=1) of an (n, 3) array bit for bit, which adds the columns
-    # in order to +0.0, without the reduction's per-row overhead.
-    return 0.0 + block[:, 0] + block[:, 1] + block[:, 2]
+    return hypothesis.w1 * x_e + hypothesis.w2 * (_row_reduce(np.add, x_c)[:, None] - x_c)
 
 
 def linear_classifier(hypothesis: LinearHypothesis) -> Classifier:
@@ -279,7 +273,7 @@ def ls_margin_samples(params: SyntheticParams, hypothesis: LinearHypothesis,
     beta/2 * sum of the off-class logits, both at the margin-maximizing delta."""
     margins, logits, own_logit = _margins(
         hypothesis, adversarial_batch(params, _draw(params, n_samples, rng)))
-    off_sum = _row_sums(logits) - own_logit
+    off_sum = _row_reduce(np.add, logits) - own_logit
     return (1.0 - params.beta) * margins - 0.5 * params.beta * off_sum
 
 
@@ -363,7 +357,7 @@ def _coefficients(params: SyntheticParams, batch: SyntheticBatch) -> np.ndarray:
     if beta:
         # Off-class logits sum to 2*eps*w1 + (sum(x_C) + x_C,own)*w2: coordinate
         # j != own appears in exactly one off-class logit, own in both.
-        off_w2 = _row_sums(adv.x_c) + own_c
+        off_w2 = _row_reduce(np.add, adv.x_c) + own_c
         c1 = (1.0 - beta) * c1 - beta * params.eps
         c2 = (1.0 - beta) * c2 - 0.5 * beta * off_w2
     return np.column_stack([c1, c2])
@@ -441,7 +435,7 @@ def pair_margin_prob(params: SyntheticParams, hypothesis: LinearHypothesis,
     batch.x_c[:, 0] += params.eps
     batch.x_c[:, 1] -= params.eps
     # Columns 0 and 1 of linear_logits, computed alone with the same operations.
-    total = _row_sums(batch.x_c)
+    total = _row_reduce(np.add, batch.x_c)
     own, other = (hypothesis.w1 * batch.x_e[:, k] + hypothesis.w2 * (total - batch.x_c[:, k])
                   for k in (0, 1))
     return float(np.mean(own > other))

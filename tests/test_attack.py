@@ -1,5 +1,6 @@
 """Tests for epsilon-ball projection, multi-step ascent, and the fast attack."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,92 @@ class TestPgdBlocks:
             outs.append(pgd(model, x, y, cfg, RngStream(3, stream_id=87)))
         assert np.array_equal(outs[0], outs[1])
         assert not np.array_equal(outs[0], x)
+
+
+class TestPgdFastPath:
+    """Each block's first step runs the checking backward, the others the
+    private kernel; the points are those of a checking call on every step."""
+
+    # sha256 of the attacked points of mlp(input_dim=36, widths=(32, 32),
+    # classes=4) on batch(model, seed=2, n=rows), with RngStream(13, 88),
+    # recorded when every PGD step still called the public backward.
+    CASES = {
+        "linf": AttackConfig(norm="linf", epsilon=0.3),
+        "linf_random_start": AttackConfig(norm="linf", epsilon=0.3, random_start=True),
+        "l2": AttackConfig(norm="l2", epsilon=0.8),
+        "input_bounds": AttackConfig(norm="linf", epsilon=0.3, random_start=True,
+                                     input_bounds=(-1.0, 1.0)),
+        "fgsm": AttackConfig(norm="linf", epsilon=0.3),
+    }
+    DIGESTS = {
+        ("linf", 1): "ca34deec33d4777ec98129800dd12c6a11b8ad68c854bc457b9c04c9f3920596",
+        ("linf", 256): "3245cf49a0588be2a021c30e5c4543c05d82a1bc55036928c6a68de20bdf338a",
+        ("linf", 257): "f03c3a2a405e1ad5d92c30942f3ca156227e3b5e0e603a6292987a49d76cd0b1",
+        ("linf", 2000): "a8233be0b4c0f604f6344d76e298f50292241756488b64a1f44dc127e50ca6b0",
+        ("linf_random_start", 1):
+            "2862f047b6b3e2b26c8d31cf805e0c0ecadb9de5e769e560de472be69cda907c",
+        ("linf_random_start", 256):
+            "0e76464d3a2e4778229c970663871a185fa677d17c4524d1478e36a12f46fc29",
+        ("linf_random_start", 257):
+            "26cc8a14e4714f95d270e2c342f5bac2800265efd98223a64cac5d34084f478c",
+        ("linf_random_start", 2000):
+            "5ffc65c43e121ed71d403bcb8ae05b8d33746faf6515682d86139e5dd53bedc0",
+        ("l2", 1): "21f40f1ff69a32b5f194e763af2f3588c88eeb5ce533d7db24f4ff6afdab632c",
+        ("l2", 256): "22f459e2984bc0716c177754000f2c9bb0bedf16881f96bc482c2f1eaaef16b4",
+        ("l2", 257): "5e7890f78ddc1b4ac9d73630eb16af49c27432e764cf814f1b725807299455e9",
+        ("l2", 2000): "b15c39557d2bb001850cc54cf284c49e61bcf1f5563c56c1685345ed02817b6a",
+        ("input_bounds", 1): "5e48dc12a2af75605b8e7bbfb076328f5a00253aa7af83bdb4edb22b9b59d357",
+        ("input_bounds", 256): "b26332fc4b6001c42b1a264aded1b180202059434f1aea1932d23bde47533e44",
+        ("input_bounds", 257): "5199995d79a3defd951436aea2cdcba9c3b1a1421410cb87286cff0075056027",
+        ("input_bounds", 2000):
+            "68f51638530c60d72858ea47fcc41bc496a1654cf2f69498f3ec2f34cbe3f555",
+        ("fgsm", 1): "9d5103ba9e8f83e82b0a83e24aa73b7242033bf51f7f0f9b165924c46da7b7d4",
+        ("fgsm", 256): "7c24dd0b4de68ba008439d46150cf778f8eff629b9b62bff108be7bb01643bcd",
+        ("fgsm", 257): "149f9e61513eaad4a27c7a15be397687cb4d5684bfa239d1d0fa1a0a9687d968",
+        ("fgsm", 2000): "637c021fb2f467bd0a1255161e4e470af15d200ed31266633fc916ac3f153d70",
+    }
+
+    @pytest.mark.parametrize("name, rows", sorted(DIGESTS))
+    def test_points_match_recorded_bytes(self, name, rows):
+        model = mlp(input_dim=36, widths=(32, 32), classes=4)
+        x, y = batch(model, seed=2, n=rows)
+        attack = fgsm if name == "fgsm" else pgd
+        out = attack(model, x, y, self.CASES[name], RngStream(13, stream_id=88))
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.DIGESTS[name, rows]
+
+    @pytest.mark.parametrize("rows, blocks", [(1, 1), (256, 1), (257, 2), (600, 3)])
+    @pytest.mark.parametrize("steps", [1, 10])
+    def test_public_backward_runs_once_per_block(self, monkeypatch, rows, blocks, steps):
+        calls = []
+        inner = crossfeat.attack.backward
+        monkeypatch.setattr(crossfeat.attack, "backward",
+                            lambda *args, **kwargs: calls.append(len(args[1]))
+                            or inner(*args, **kwargs))
+        model = mlp()
+        x, y = batch(model, n=rows)
+        pgd(model, x, y, AttackConfig(epsilon=0.2, steps=steps))
+        assert len(calls) == blocks
+        assert sum(calls) == rows
+
+    @pytest.mark.parametrize("layer", ["hidden", "head"])
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_nan_weight_is_rejected(self, layer, norm):
+        # The iterate turns NaN after the checked first step; the output
+        # check catches it.
+        model = mlp()
+        (model.hidden[0] if layer == "hidden" else model.head).weights[0, 0] = np.nan
+        x, y = batch(model)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or inf"):
+            pgd(model, x, y, AttackConfig(norm=norm, epsilon=0.2))
+
+    def test_clip_has_np_clip_bits(self):
+        values = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, np.nan, -np.nan,
+                           np.inf, -np.inf, 5e-324, -5e-324] * 20)
+        for lo, hi in [(0.0, 1.0), (-1.0, 0.0), (-0.0, 0.0), (-0.0, 1.0), (-1.0, -0.0),
+                       (0.0, 0.0), (-0.5, 0.5), (-np.inf, np.inf)]:
+            for block in (values, values.reshape(-1, 7)):
+                want = np.clip(block, lo, hi)
+                assert crossfeat.attack._clip(block, lo, hi).tobytes() == want.tobytes()
 
 
 class TestFgsm:

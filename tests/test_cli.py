@@ -1,6 +1,7 @@
 """Tests for the config-driven command-line runner."""
 
 import concurrent.futures
+import hashlib
 import json
 import os
 import statistics
@@ -216,6 +217,41 @@ class TestTrainCmd:
         config["data"] = {}
         with pytest.raises(ConfigError, match="data"):
             cmd_train(config)
+
+
+class TestTrainingBytes:
+    """``crossfeat train`` on the benchmark's ``at_train`` cell, cut to 3
+    epochs, writes the bytes it wrote before PGD's later steps left the
+    checking backward, on the pipelined and on the one-process path."""
+
+    CONFIG = {"seed": 2, "data": {"planted": {"seed": 0}},
+              "model": {"hidden": [32, 32]}, "train": {"epochs": 3, "mode": "at"},
+              "attack": {"norm": "linf", "epsilon": 0.4, "steps": 10}}
+    # Seed 2 peaks at epoch 0, so best.ckpt and last.ckpt differ.
+    DIGESTS = {
+        "records.jsonl": "221d5eb82792dfda101e99baeb62cee985c625cc22c2292069dcf6e0eea0e25a",
+        "best.ckpt": "5535321e40104f51a4a391486c469f150b158b52dd8f5d02aa48e16af0f05480",
+        "last.ckpt": "2edf346bfeba95fc154d98fd6a534c0450e04a1eafdbd766b8cc65e50168b138",
+        "summary.json": "feba4fa23e0f4ac326dd7a190dffd1698ccc169711b0cded1bd6b5ab8ac61e3c",
+    }
+
+    @pytest.mark.parametrize("pipelined", [True, False])
+    def test_outputs_match_recorded_bytes(self, tmp_path, monkeypatch, pipelined):
+        pools = []
+        real = training._fork_pool
+        monkeypatch.setattr(training, "_fork_pool",
+                            lambda *args: pools.append(args[0]) or real(*args))
+        if pipelined:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        else:
+            monkeypatch.setattr(crossfeat.numerics, "_worker_count", lambda limit: 1)
+            monkeypatch.setattr(training, "_worker_count", lambda limit: 1)
+        out = tmp_path / "run"
+        argv = ["train", "--config", write_config(tmp_path, self.CONFIG), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert pools == ([1] if pipelined else [])
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestEvalCmd:
@@ -611,11 +647,18 @@ class TestListSettings:
         ("sweep", ("sweep", "seeds"), 3, SWEEP),
         ("train", ("train", "decay_fractions"), 0.5,
          "train.decay_fractions: expected a JSON list of numbers"),
+        ("train", ("model", "hidden"), 8, "model.hidden: expected a JSON list of integers"),
+        ("train", ("model", "hidden"), "8", "model.hidden: expected a JSON list of integers"),
+        ("sweep", ("model", "hidden"), 8, "model.hidden: expected a JSON list of integers"),
+        ("train", ("attack", "input_bounds"), 1,
+         "attack.input_bounds: expected a JSON list [lo, hi]"),
+        ("train", ("eval_attack", "input_bounds"), 1,
+         "eval_attack.input_bounds: expected a JSON list [lo, hi]"),
     ])
     def test_exits_two_naming_the_key(self, tmp_path, capsys, command, keys, value,
                                       message):
         config = base_config(sweep={"epsilons": [0.2], "modes": ["at"], "seeds": [1]})
-        config[keys[0]][keys[1]] = value
+        config.setdefault(keys[0], {})[keys[1]] = value
         out = tmp_path / "out"
         argv = [command, "--config", write_config(tmp_path, config), "--out", str(out)]
         assert cli.main(argv) == 2

@@ -281,7 +281,7 @@ PARITY = [
     ('label_out_of_given_range', 'raw-matrix', 2, '1 2 0\n3 4 2\n',
      err('{path}:2: label 2 out of range for 2 classes')),
     ('negative_label', 'raw-matrix', None, '1 2 -1\n',
-     err('{path}: negative label -1')),
+     err('{path}:1: negative label -1')),
     ('too_few_cells', 'delimited-text', None, '2,2\n0\n',
      err('{path}:2: need at least one feature and a label')),
     ('one_column_raw', 'raw-matrix', None, '3\n4\n',
@@ -329,7 +329,13 @@ PARITY = [
      err('{path}:3: label -99999999999999999999 beyond int64')),
     ('label_at_int64_limits', 'raw-matrix', 9223372036854775807,
      '1 2 9223372036854775806\n3 4 -9223372036854775808\n',
-     err('{path}: negative label -9223372036854775808')),
+     err('{path}:2: negative label -9223372036854775808')),
+    ('negative_label_after_blank_line', 'raw-matrix', None, '1 2 0\n\n3 4 -2\n1 2 -5\n',
+     err('{path}:3: negative label -2')),
+    ('negative_label_checking_loop', 'delimited-text', None, '2,3\n1_0,2,0\n3,4,-1\n',
+     err('{path}:3: negative label -1')),
+    ('blank_lines_only', 'delimited-text', None, '\n \n\n',
+     ok([], (0, 0), [], 0)),
     ('crlf_endings', 'delimited-text', None, '2,2\r\n1,2,0\r\n3,4,1\r\n',
      ok([[1.0, 2.0], [3.0, 4.0]], (2, 2), [0, 1], 2)),
     ('cr_endings', 'raw-matrix', None, '1 2 0\r3 4 1\r',

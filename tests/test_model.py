@@ -8,8 +8,9 @@ import pytest
 
 import crossfeat.model
 from crossfeat.model import (Affine, Classifier, CrossEntropy, Distillation,
-                             backward, features, forward, load_checkpoint,
-                             log_softmax, save_checkpoint, sgd_step, softmax)
+                             _input_gradient, backward, features, forward,
+                             load_checkpoint, log_softmax, save_checkpoint, sgd_step,
+                             softmax)
 from crossfeat.numerics import RngStream
 
 
@@ -153,6 +154,19 @@ class TestSoftmax:
         shifted = logits + 123.456
         assert np.allclose(log_softmax(logits), log_softmax(shifted), atol=1e-12)
 
+    @pytest.mark.parametrize("classes", range(2, 13))
+    def test_same_bits_as_the_axis_reductions(self, classes):
+        # log_softmax walks short rows column by column; it must give what
+        # numpy's max(axis=1) and sum(axis=1) give, ties and signed zeros
+        # included.
+        gen = RngStream(classes, stream_id=94).generator
+        ties = gen.choice([0.0, -0.0, 1.0, -1.0, 700.0, -700.0], size=(64, classes))
+        for logits in (gen.normal(size=(256, classes)) * 5.0, ties,
+                       gen.uniform(-700.0, 700.0, size=(37, classes))):
+            z = logits - logits.max(axis=1, keepdims=True)
+            want = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            assert log_softmax(logits).tobytes() == want.tobytes()
+
 
 def numeric_grad(loss_fn, array, h=1e-5):
     """Central finite differences of a scalar function w.r.t. a live array."""
@@ -260,6 +274,32 @@ def sha256(*arrays):
     for array in arrays:
         digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()
+
+
+class TestInputGradientKernel:
+    """The PGD kernel is backward's input gradient, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 37, 128, 208, 256])
+    @pytest.mark.parametrize("head_bias", [False, True])
+    @pytest.mark.parametrize("widths", [(), (8,), (32, 32)])
+    def test_equals_backward_inputs(self, widths, head_bias, rows):
+        model = tiny_model(input_dim=36, widths=widths, classes=4, head_bias=head_bias)
+        jitter(model, 3)
+        x, y = tiny_batch(model, n=rows)
+        want = backward(model, x, y, CrossEntropy(), include_params=False).inputs
+        got = _input_gradient(model, x, np.eye(model.class_count)[y])
+        assert got.tobytes() == want.tobytes()
+
+    def test_runs_the_module_forward_pass(self, monkeypatch):
+        # A spy on crossfeat.model._forward_cached sees every kernel pass.
+        seen = []
+        inner = crossfeat.model._forward_cached
+        monkeypatch.setattr(crossfeat.model, "_forward_cached",
+                            lambda model, x: seen.append(len(x)) or inner(model, x))
+        model = tiny_model()
+        x, y = tiny_batch(model, n=7)
+        _input_gradient(model, x, np.eye(model.class_count)[y])
+        assert seen == [7]
 
 
 class TestLossEquivalences:

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crossfeat.numerics
-from crossfeat.numerics import (RngStream, _run_jobs, as_array, cosine_similarity,
-                                std_normal_cdf, unit_rows)
+from crossfeat.numerics import (RngStream, _row_reduce, _run_jobs, as_array,
+                                cosine_similarity, std_normal_cdf, unit_rows)
 
 # Reference values computed with mpmath.ncdf at 20 significant digits.
 PHI_TABLE = {
@@ -133,6 +133,29 @@ class TestUnitRows:
     def test_zero_rows_stay_zero(self):
         rows = unit_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert np.array_equal(rows[0], [0.0, 0.0])
+
+
+class TestRowReductions:
+    """_row_reduce gives numpy's axis-1 max and sum bit for bit."""
+
+    @staticmethod
+    def blocks(columns, rows):
+        gen = RngStream(columns * 1000 + rows, stream_id=95).generator
+        normal = gen.normal(size=(rows, columns))
+        yield normal
+        yield normal * 10.0 ** gen.integers(-8, 8, size=(rows, columns))
+        logits = gen.uniform(-700.0, 700.0, size=(rows, columns))
+        yield logits
+        yield np.exp(logits - logits.max(axis=1, keepdims=True))
+        yield gen.choice([0.0, -0.0, 1.0, -1.0, 700.0, -700.0], size=(rows, columns))
+        yield np.full((rows, columns), -0.0)
+
+    @pytest.mark.parametrize("rows", [1, 37, 256])
+    @pytest.mark.parametrize("columns", range(2, 13))
+    def test_same_bits_as_axis_reductions(self, columns, rows):
+        for block in self.blocks(columns, rows):
+            assert _row_reduce(np.maximum, block).tobytes() == block.max(axis=1).tobytes()
+            assert _row_reduce(np.add, block).tobytes() == block.sum(axis=1).tobytes()
 
 
 class TestRunJobs:
