@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Classifier, CrossEntropy, _input_gradient, _row_blocks, backward
-from .numerics import RngStream, _is_int, as_array
+from .numerics import RngStream, _is_int, _is_number, as_array
 
 __all__ = ["AttackConfig", "fgsm", "pgd", "project"]
 
@@ -38,16 +38,17 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.norm not in ("linf", "l2"):
             raise ValueError(f"norm must be 'linf' or 'l2', got {self.norm!r}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
+        if not (_is_number(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be a non-negative number, got {self.epsilon!r}")
         if not _is_int(self.steps, 1):
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if self.input_bounds is not None:
-            lo, hi = self.input_bounds
-            if not lo < hi:
-                raise ValueError(f"input_bounds must satisfy lo < hi, got {self.input_bounds}")
+        if self.step_size is not None and not (_is_number(self.step_size)
+                                               and self.step_size > 0):
+            raise ValueError(f"step_size must be a positive number, got {self.step_size!r}")
+        bounds = self.input_bounds
+        if bounds is not None and not (len(bounds) == 2 and all(map(_is_number, bounds))
+                                       and bounds[0] < bounds[1]):
+            raise ValueError(f"input_bounds must be two numbers lo < hi, got {bounds!r}")
 
     def resolved_step(self) -> float:
         if self.step_size is not None:

@@ -29,7 +29,7 @@ from .attribution import (cas, class_attribution_matrix, instance_cas_matrix,
                           load_matrix, matrix_diff, save_matrix)
 from .data import Dataset, PlantedSpec, generate_planted, load_tabular, save_tabular
 from .model import Classifier, load_checkpoint
-from .numerics import RngStream, _is_int
+from .numerics import _MASK64, RngStream, _is_int, _is_number
 from .synthetic import SyntheticParams, run_verification
 from .training import (TrainConfig, detect_collapse, evaluate, save_records, train,
                        train_many)
@@ -119,11 +119,16 @@ def _build(section: str, ctor, kwargs: dict):
 
 
 def _integer(value, location: str, override: int | None = None, minimum: int = 0) -> int:
-    """``override`` if set, else ``value``; ``value`` is checked either way."""
-    # RngStream would truncate a seed of 1.5 or True to another seed.
+    """``override`` (from ``--seed``) if set, else ``value``; both are checked."""
+    if override is not None:
+        _integer(override, "--seed")
+    # RngStream would truncate a seed of 1.5 or True to another seed, and it
+    # rejects one past 2**64 - 1 without naming the key.
     if not _is_int(value, minimum):
         wanted = f"an integer >= {minimum}" if minimum else "a non-negative integer"
         raise ConfigError(f"{location}: expected {wanted}, got {value!r}")
+    if value > _MASK64:
+        raise ConfigError(f"{location}: expected an integer <= {_MASK64}, got {value!r}")
     return value if override is None else override
 
 
@@ -329,8 +334,8 @@ def cmd_eval(config: dict, out_dir: str | None = None,
     section = config.get("eval", {})
     if "checkpoint" not in section:
         raise ConfigError("eval.checkpoint is required")
-    model, epoch, _ = load_checkpoint(section["checkpoint"])
     run_seed = _integer(config.get("seed", 0), "seed", seed)
+    model, epoch, _ = load_checkpoint(section["checkpoint"])
     test_set = _datasets_from(config, train=False)[1]
     attack = _attack_from(config)
     metrics, _ = evaluate(model, test_set, attack, RngStream(run_seed))
@@ -389,7 +394,7 @@ def _sweep_cells(section: dict) -> list[tuple[float, str, int]]:
     if not all(isinstance(v, list) and v for v in (epsilons, modes, seeds)):
         raise ConfigError("sweep requires nonempty JSON lists epsilons, modes, and seeds")
     for eps in epsilons:
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+        if not _is_number(eps):
             raise ConfigError(f"sweep.epsilons: expected numbers, got {eps!r}")
     for mode in modes:
         if not isinstance(mode, str):

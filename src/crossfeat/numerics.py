@@ -15,8 +15,13 @@ Conventions
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
+import select
+import signal
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,22 +106,136 @@ def _is_int(value, minimum: int) -> bool:
             and value >= minimum)
 
 
-def _fork_pool(workers: int, held):
-    """A pool of ``workers`` forked processes, each holding ``held`` in ``_held``."""
-    # Imported here: importing crossfeat loads no process-pool machinery.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _is_number(value) -> bool:
+    """Whether ``value`` is an int or a float; a bool or a string is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_hold, initargs=(held,))
+
+def _fork_pool(workers: int, held):
+    """A :class:`_Pool` of ``workers`` processes, forked now, that find ``held``
+    in ``_held``; leaving its ``with`` block ends and reaps them."""
+    return contextlib.closing(_Pool(workers, held))
 
 
 _held = None  # what _fork_pool handed this worker; None outside its workers
 
 
-def _hold(held) -> None:
+class _Pool:
+    """Forked workers that each run the pickled calls on their own task pipe
+    and write each ``(ok, value)`` to their own result pipe.  A call goes to
+    the first idle worker.  A worker that dies fails its job and every
+    unfinished one, and the others are killed."""
+
+    def __init__(self, workers: int, held):
+        self.workers, self.queue, self.failure = {}, [], None  # result file: [pid, task fd, job]
+        sys.stdout.flush()  # else each worker would print the buffered text again
+        sys.stderr.flush()
+        try:
+            for _ in range(workers):
+                tasks, results = os.pipe(), os.pipe()
+                if (pid := os.fork()) == 0:  # a write end left open would hide an EOF
+                    _serve(held, tasks[0], results[1], [tasks[1], results[0], *(
+                        fd for file, w in self.workers.items() for fd in (file.fileno(), w[1]))])
+                os.close(tasks[0])
+                os.close(results[1])
+                self.workers[open(results[0], "rb")] = [pid, tasks[1], None]
+        except BaseException:
+            self.close()
+            raise
+
+    def submit(self, function, *args) -> "_Job":
+        self.queue.append((job := _Job(self), pickle.dumps((function, args))))
+        self.wait(None)
+        return job
+
+    def wait(self, job: "_Job | None") -> None:
+        """Give queued calls to idle workers, then read outcomes until ``job`` has one."""
+        while self.failure is None:
+            for worker in self.workers.values():
+                if worker[2] is None and self.queue:
+                    worker[2], message = self.queue.pop(0)
+                    try:
+                        _send(worker[1], message)
+                    except BrokenPipeError:  # it died while idle
+                        return self._fail(worker)
+            if job is None or job.outcome is not None:
+                return
+            file = select.select([f for f, w in self.workers.items() if w[2]], [], [])[0][0]
+            worker = self.workers[file]
+            try:
+                worker[2].outcome, worker[2] = pickle.load(file), None
+            except (EOFError, pickle.UnpicklingError):  # the pipe ended first
+                self._fail(worker)
+
+    def _fail(self, dead: list) -> None:
+        for pid, _, _ in self.workers.values():
+            os.kill(pid, signal.SIGKILL)  # what they return could not be delivered
+        code = os.waitstatus_to_exitcode(os.waitpid(dead[0], 0)[1])
+        dead[0], self.failure = None, RuntimeError(
+            f"a forked worker ended with exit code {code} before returning its job")
+
+    def close(self) -> None:
+        for file, (_, tasks, _) in self.workers.items():
+            os.close(tasks)  # ends the worker's loop
+            file.close()  # fails a result it still writes
+        for pid, _, _ in self.workers.values():
+            if pid is not None:
+                os.waitpid(pid, 0)
+
+
+class _Job:
+    """A submitted call; ``result()`` and ``exception()`` wait for it."""
+
+    def __init__(self, pool: _Pool):
+        self.pool, self.outcome = pool, None  # (ok, value) once it came back
+
+    def exception(self) -> Exception | None:
+        self.pool.wait(self)
+        ok, value = self.outcome or (False, self.pool.failure)
+        return None if ok else value
+
+    def result(self):
+        if (exc := self.exception()) is not None:
+            raise exc
+        return self.outcome[1]
+
+
+def _serve(held, tasks: int, results: int, inherited: list) -> None:
+    """A worker: run each ``(function, args)`` read from ``tasks`` and write its
+    ``(ok, value)`` to ``results`` until the task pipe closes; then
+    ``os._exit``, never returning into the caller's stack."""
     global _held
-    _held = held
+    _held, status = held, 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        reader = open(tasks, "rb")
+        while reader.peek(1):  # empty once the parent closes the task pipe
+            function, args = pickle.load(reader)
+            try:
+                outcome = True, function(*args)
+            except Exception as exc:  # the job's failure is its outcome
+                outcome = False, exc
+            try:
+                pickle.loads(message := pickle.dumps(outcome))  # as the parent will
+            except Exception as exc:
+                message = pickle.dumps((False, pickle.PicklingError(
+                    f"the job's {'result' if outcome[0] else 'exception'} "
+                    f"{outcome[1]!r:.200} does not pickle: {exc!r}")))
+            _send(results, message)
+        status = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def _send(fd: int, message: bytes) -> None:
+    view = memoryview(message)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def _worker_count(limit: int) -> int:
@@ -131,20 +250,20 @@ def _run_jobs(function, jobs) -> list:
 
     The jobs run in forked workers, one per usable CPU (at most one per job),
     which find the jobs in their forked memory, so only results are pickled.
-    With one worker they run here.  A broken pool fails its unfinished jobs.
+    With one worker they run here.  A dead worker fails its unfinished jobs.
     """
     jobs = list(jobs)
     workers = _worker_count(len(jobs))
     if workers <= 1:
         return [_outcome(function, job) for job in jobs]
     with _fork_pool(workers, (function, jobs)) as pool:
-        futures = [pool.submit(_run_held, index) for index in range(len(jobs))]
-        return [future.exception() or future.result() for future in futures]
+        handles = [pool.submit(_run_held, index) for index in range(len(jobs))]
+        return [handle.exception() or handle.result() for handle in handles]
 
 
 def _run_held(index: int):
     function, jobs = _held
-    return _outcome(function, jobs[index])
+    return function(*jobs[index])
 
 
 def _outcome(function, job):

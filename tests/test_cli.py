@@ -1,6 +1,5 @@
 """Tests for the config-driven command-line runner."""
 
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -433,13 +432,9 @@ class TestSweep:
 
     def test_pool_and_serial_write_identical_files(self, tmp_path, monkeypatch):
         pools = []
-
-        class CountedPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        real = crossfeat.numerics._fork_pool
+        monkeypatch.setattr(crossfeat.numerics, "_fork_pool",
+                            lambda *args: pools.append(args[0]) or real(*args))
         config = base_config(sweep={"epsilons": [0.1, 0.2],
                                     "modes": ["at", "at_kd"],  # no teacher
                                     "seeds": [1, 2]})
@@ -589,6 +584,16 @@ class TestIntegerSettings:
          "synthetic.mc_samples: expected an integer >= 1, got 0"),
         ("synth-verify", ("synthetic", "oracle_steps"), 1.5,
          "synthetic.oracle_steps: expected a non-negative integer, got 1.5"),
+        ("train", ("seed",), -1, "seed: expected a non-negative integer, got -1"),
+        ("train", ("seed",), 2**64, f"seed: expected an integer <= {2**64 - 1}, got {2**64}"),
+        ("synth-verify", ("synthetic", "seed"), 2**64,
+         f"synthetic.seed: expected an integer <= {2**64 - 1}, got {2**64}"),
+        ("gen-data", ("data", "planted", "seed"), 2**64,
+         f"data.planted.seed: expected an integer <= {2**64 - 1}, got {2**64}"),
+        ("sweep", ("sweep",), {"epsilons": [0.2], "modes": ["at"], "seeds": [1, 2**64]},
+         f"sweep.seeds: expected an integer <= {2**64 - 1}, got {2**64}"),
+        ("synth-verify", ("synthetic", "mc_samples"), 2**64,
+         f"synthetic.mc_samples: expected an integer <= {2**64 - 1}, got {2**64}"),
     ])
     def test_exits_two_naming_the_key(self, tmp_path, capsys, command, keys, value,
                                       message):
@@ -601,6 +606,23 @@ class TestIntegerSettings:
                 "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "gen-data", "synth-verify", "eval",
+                                         "attribution"])
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "--seed: expected a non-negative integer, got -1"),
+        (2**64, f"--seed: expected an integer <= {2**64 - 1}, got {2**64}"),
+    ])
+    def test_a_seed_override_is_checked(self, tmp_path, capsys, command, seed, message):
+        config = base_config(eval={"checkpoint": str(tmp_path / "none.ckpt")},
+                             attribution={"checkpoint": str(tmp_path / "none.ckpt")})
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, config), "--out", str(out),
+                "--seed", str(seed)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 class TestBooleanSettings:
@@ -636,8 +658,10 @@ class TestBooleanSettings:
 
 
 class TestListSettings:
-    """A scalar where a JSON list belongs is a config error that names its
-    key: iterating it would fail or walk a string's characters."""
+    """A scalar where a JSON list belongs, or an attack bound or radius that
+    is not a JSON number, is a config error that names its key: iterating it
+    would fail or walk a string's characters, and a string or a bool would
+    fail in PGD or pass for a number."""
 
     SWEEP = "sweep requires nonempty JSON lists epsilons, modes, and seeds"
 
@@ -654,6 +678,26 @@ class TestListSettings:
          "attack.input_bounds: expected a JSON list [lo, hi]"),
         ("train", ("eval_attack", "input_bounds"), 1,
          "eval_attack.input_bounds: expected a JSON list [lo, hi]"),
+        ("train", ("attack", "input_bounds"), ["a", "b"],
+         "attack: input_bounds must be two numbers lo < hi, got ('a', 'b')"),
+        ("train", ("attack", "input_bounds"), [0],
+         "attack: input_bounds must be two numbers lo < hi, got (0,)"),
+        ("train", ("attack", "input_bounds"), [0, 1, 2],
+         "attack: input_bounds must be two numbers lo < hi, got (0, 1, 2)"),
+        ("train", ("attack", "input_bounds"), [True, 2],
+         "attack: input_bounds must be two numbers lo < hi, got (True, 2)"),
+        ("train", ("eval_attack", "input_bounds"), [0, "1"],
+         "eval_attack: input_bounds must be two numbers lo < hi, got (0, '1')"),
+        ("train", ("attack", "epsilon"), "0.1",
+         "attack: epsilon must be a non-negative number, got '0.1'"),
+        ("train", ("attack", "epsilon"), None,
+         "attack: epsilon must be a non-negative number, got None"),
+        ("train", ("eval_attack", "epsilon"), True,
+         "eval_attack: epsilon must be a non-negative number, got True"),
+        ("train", ("attack", "step_size"), "0.05",
+         "attack: step_size must be a positive number, got '0.05'"),
+        ("train", ("eval_attack", "step_size"), False,
+         "eval_attack: step_size must be a positive number, got False"),
     ])
     def test_exits_two_naming_the_key(self, tmp_path, capsys, command, keys, value,
                                       message):

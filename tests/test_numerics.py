@@ -4,6 +4,11 @@ runner."""
 import math
 import operator
 import os
+import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -189,3 +194,73 @@ class TestRunJobs:
             assert pid != os.getpid()
             assert inner == [pid, pid]
         assert crossfeat.numerics._held is None
+
+    def test_a_killed_worker_fails_its_job_and_every_later_one(self, monkeypatch):
+        def killed():
+            time.sleep(0.2)  # the first job has come back by then
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        jobs = [(lambda: "done",), (killed,), (time.sleep, 60), (time.sleep, 60)]
+        started = time.monotonic()
+        results = self.run(monkeypatch, 2, operator.call, jobs)
+        assert time.monotonic() - started < 30  # the sleeping worker was killed
+        assert results[0] == "done"
+        for failed in results[1:]:
+            assert type(failed) is RuntimeError
+            assert str(failed) == ("a forked worker ended with exit code -9 "
+                                   "before returning its job")
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_outcome_that_does_not_pickle_names_itself(self, monkeypatch):
+        class Local(Exception):  # pickle cannot find it by name
+            pass
+
+        def local():
+            raise Local("kept message")
+
+        def needs_two():
+            raise NeedsTwo("a", "b")
+
+        jobs = [(local,), (needs_two,), (lambda: lambda: 0,)]
+        got = self.run(monkeypatch, 2, operator.call, jobs)
+        assert [type(exc) for exc in got] == [pickle.PicklingError] * 3
+        assert str(got[0]).startswith(
+            "the job's exception Local('kept message') does not pickle: ")
+        assert str(got[1]).startswith(
+            "the job's exception NeedsTwo('a and b') does not pickle: ")
+        assert str(got[2]).startswith("the job's result <function ")
+        assert "<lambda>" in str(got[2]) and " does not pickle: " in str(got[2])
+
+    def test_text_buffered_at_the_fork_is_printed_once(self):
+        code = ("import os, sys\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "from crossfeat.numerics import _run_jobs\n"
+                "print('out', end=' ')\n"
+                "print('err', end=' ', file=sys.stderr)\n"
+                "print(_run_jobs(abs, [(-1,), (-2,)]))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(crossfeat.__file__)))
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}  # which would flush every print at once
+        out = subprocess.run([sys.executable, "-c", code], env=dict(env, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert (out.stdout, out.stderr) == ("out [1, 2]\n", "err ")
+
+    def test_workers_are_forked_when_the_pool_opens(self):
+        held = ["at the fork"]
+        with crossfeat.numerics._fork_pool(2, held) as pool:
+            assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # children, none ended
+            held.append("after the fork")
+            assert pool.submit(held_by_the_worker).result() == ["at the fork"]
+        assert crossfeat.numerics._held is None
+
+
+class NeedsTwo(Exception):
+    """Pickles, but cannot be rebuilt from its one stored argument."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
+
+
+def held_by_the_worker():
+    return crossfeat.numerics._held

@@ -6,6 +6,7 @@ the package forks workers."""
 import ast
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -28,16 +29,35 @@ def test_all_lists_every_public_definition(name):
     assert set(module.__all__) == defined
 
 
-def test_importing_the_cli_loads_no_process_pool_modules():
-    # train and train_many import these when they start a pool, not at
-    # import time.
-    code = ("import sys, crossfeat.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+def test_importing_the_cli_loads_no_process_pool_modules(tmp_path):
+    # Nor does a pipelined train or a pooled synth-verify: their workers are
+    # forked over plain pipes.
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps({
+        "data": {"planted": {"classes": 3, "replication": 1, "noise_dims": 2,
+                             "rotate": False, "n_train": 30, "n_test": 15}},
+        "model": {"hidden": [8]}, "train": {"epochs": 2},
+        "attack": {"epsilon": 0.2}}))
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({"synthetic": {"mc_samples": 50_000, "oracle_steps": 4_000}}))
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from crossfeat import cli, numerics, training\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
+            "pools, real = [], numerics._fork_pool\n"
+            "numerics._fork_pool = training._fork_pool = (\n"
+            "    lambda *args: pools.append(args[0]) or real(*args))\n"
+            "after_import = loaded()\n"
+            f"assert cli.main(['train', '--config', {str(train)!r}]) == 0\n"
+            f"assert cli.main(['synth-verify', '--config', {str(synth)!r}]) == 0\n"
+            "print(after_import, loaded(), pools)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(crossfeat.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[] [] [1, 2]"
 
 
 def test_only_numerics_holds_worker_state_or_counts_cpus():

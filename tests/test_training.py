@@ -3,6 +3,7 @@ and the fast-attack collapse detector."""
 
 import json
 import os
+import signal
 from dataclasses import asdict
 
 import numpy as np
@@ -444,6 +445,19 @@ class TestPipelinedEpochs:
         with pytest.raises(FloatingPointError, match="^injected evaluation failure$"):
             self.run(monkeypatch, cpus, cfg)
         assert not out.exists()
+
+    def test_a_killed_evaluation_worker_fails_the_run(self, monkeypatch, tmp_path):
+        def killed(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(crossfeat.training, "_evaluate_epoch", killed)
+        out = tmp_path / "run"
+        with pytest.raises(RuntimeError, match="^a forked worker ended with exit code -9 "
+                                               "before returning its job$"):
+            self.run(monkeypatch, 2, tiny_cfg(epochs=3, out_dir=str(out)))
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):  # the worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_a_one_job_train_many_runs_here_and_pipelines(self, monkeypatch):
         pools = []
