@@ -27,7 +27,7 @@ from . import __version__
 from .attack import AttackConfig
 from .attribution import (cas, class_attribution_matrix, instance_cas_matrix,
                           load_matrix, matrix_diff, save_matrix)
-from .data import Dataset, PlantedSpec, generate_planted, load_tabular, save_tabular
+from .data import _FORMATS, Dataset, PlantedSpec, generate_planted, load_tabular, save_tabular
 from .model import Classifier, load_checkpoint
 from .numerics import _MASK64, RngStream, _is_int, _is_number
 from .synthetic import SyntheticParams, run_verification
@@ -139,6 +139,15 @@ def _boolean(value, location: str) -> bool:
     return value
 
 
+def _path(value, location: str, optional: bool = False) -> str | None:
+    # A number would reach open() as a file descriptor; a number or "" for
+    # out_dir would fail only after training.
+    if (isinstance(value, str) and value) or (optional and value is None):
+        return value
+    wanted = "a path string or null" if optional else "a path string"
+    raise ConfigError(f"{location}: expected {wanted}, got {value!r}")
+
+
 def _json_list(value, location: str, wanted: str) -> list:
     if not isinstance(value, list):  # a scalar fails in Python's words; a string iterates
         raise ConfigError(f"{location}: expected {wanted}")
@@ -174,10 +183,16 @@ def _datasets_from(config: dict, train: bool = True) -> tuple[Dataset | None, Da
     data = config.get("data", {})
     if "train_path" not in data or "test_path" not in data:
         raise ConfigError("data: need either data.planted or train_path + test_path")
+    train_path, test_path = (_path(data[key], f"data.{key}")
+                             for key in ("train_path", "test_path"))
     fmt = data.get("format", "delimited-text")
+    if fmt not in _FORMATS:
+        raise ConfigError(f"data.format: expected one of {_FORMATS}, got {fmt!r}")
     count = data.get("class_count")
-    return (load_tabular(data["train_path"], fmt, count) if train else None,
-            load_tabular(data["test_path"], fmt, count))
+    if count is not None:  # null: raw-matrix infers it, delimited-text reads its header
+        _integer(count, "data.class_count", minimum=1)
+    return (load_tabular(train_path, fmt, count) if train else None,
+            load_tabular(test_path, fmt, count))
 
 
 def _train_cfg_from(config: dict, seed: int, out_dir: str | None) -> TrainConfig:
@@ -334,13 +349,14 @@ def cmd_eval(config: dict, out_dir: str | None = None,
     section = config.get("eval", {})
     if "checkpoint" not in section:
         raise ConfigError("eval.checkpoint is required")
+    path = _path(section["checkpoint"], "eval.checkpoint")
     run_seed = _integer(config.get("seed", 0), "seed", seed)
-    model, epoch, _ = load_checkpoint(section["checkpoint"])
+    model, epoch, _ = load_checkpoint(path)
     test_set = _datasets_from(config, train=False)[1]
     attack = _attack_from(config)
     metrics, _ = evaluate(model, test_set, attack, RngStream(run_seed))
     return _report("eval", config, run_seed, out_dir,
-                   [{"checkpoint": section["checkpoint"], "epoch": epoch, **metrics}],
+                   [{"checkpoint": path, "epoch": epoch, **metrics}],
                    dict(metrics))
 
 
@@ -349,14 +365,15 @@ def cmd_attribution(config: dict, out_dir: str | None = None,
     section = config.get("attribution", {})
     if "checkpoint" not in section:
         raise ConfigError("attribution.checkpoint is required")
+    paths = [_path(section["checkpoint"], "attribution.checkpoint")]
+    last = _path(section.get("checkpoint_last"), "attribution.checkpoint_last", optional=True)
+    if last is not None:
+        paths.append(last)
     run_seed = _integer(config.get("seed", 0), "seed", seed)
     test_set = _datasets_from(config, train=False)[1]
     attack = _attack_from(config)
     clean = (_boolean(section.get("clean", False), "attribution.clean")
              or attack is None or attack.epsilon == 0.0)
-    paths = [section["checkpoint"]]
-    if section.get("checkpoint_last"):
-        paths.append(section["checkpoint_last"])
     models = [load_checkpoint(path)[0] for path in paths]
     if models[-1].class_count != models[0].class_count:
         raise ConfigError("attribution: checkpoints have different class counts")
@@ -529,8 +546,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        out_dir = args.out or config.get("out_dir")
-        report = _COMMANDS[args.command](config, out_dir=out_dir, seed=args.seed)
+        out_dir = _path(config.get("out_dir"), "out_dir", optional=True)
+        report = _COMMANDS[args.command](config, out_dir=args.out or out_dir, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

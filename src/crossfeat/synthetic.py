@@ -522,11 +522,12 @@ def _at(base: SyntheticParams, **kwargs) -> SyntheticParams:
     return SyntheticParams(mu=base.mu, sigma=base.sigma, lam=base.lam, **kwargs)
 
 
-# Each check group below yields its records in order and draws only from its
-# own ``RngStream(seed).split(k)``, so the groups may run in any process.
+# Each check yields its records in order for one case and draws only from its
+# own ``RngStream(seed).split(k)``, so the (check, case) jobs may run in any
+# process.  A check with a single case ignores ``case``.
 
 
-def _max_gauss_mean(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+def _max_gauss_mean(base, seed, mc_samples, oracle_steps, case) -> Iterator[CheckRecord]:
     # E[max of two standard normals] = 1/sqrt(pi).
     value, se = max_gauss_mean_mc(1_000_000, RngStream(seed).split(1))
     yield _check(
@@ -534,40 +535,61 @@ def _max_gauss_mean(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecor
         3.0 * se, "MC mean of max(X, Y) for X, Y iid N(0,1) vs 1/sqrt(pi)")
 
 
-def _threshold_signs(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
-    # Cross-class weight collapse threshold: sign(w2*) == sign(radius - eps).
+def _thresholds(base, seed, mc_samples, oracle_steps, betas) -> Iterator[CheckRecord]:
+    # Cross-class weight collapse radius.  At beta = 0, sign(w2*) ==
+    # sign(radius - eps) over a radius grid; smoothing at eps = 0.1 mu moves
+    # the radius above the one-hot one and adds a surplus to w2*.
     e0 = collapse_radius(_at(base))
-    for eps_val in [(k + 1) / 10.0 * (base.mu / 2.0) for k in range(9)]:
-        w2 = optimal_weights(_at(base, eps=eps_val)).w2
-        gap = e0 - eps_val
+    points = ([_at(base, eps=0.1 * base.mu, beta=beta) for beta in betas] if betas[0] else
+              [_at(base, eps=(k + 1) / 10.0 * (base.mu / 2.0)) for k in range(9)])
+    for p in points:
+        w2 = optimal_weights(p).w2
+        if p.beta:
+            e1 = collapse_radius(p)
+            yield CheckRecord(
+                "ls_threshold_above", {"beta": p.beta}, e0, e1, None,
+                "pass" if e1 > e0 else "fail",
+                f"smoothed collapse radius {e1:.6g} vs one-hot {e0:.6g}"
+                + (" (exceeds mu/2)" if e1 >= base.mu / 2 else ""))
+            surplus = p.beta * (2.0 * p.eps + p.sigma_term) / p.lam
+            diff = w2 - optimal_weights(replace(p, beta=0.0)).w2
+            yield _check(
+                "ls_w2_surplus_identity", {"beta": p.beta, "eps": p.eps},
+                surplus, diff, 1e-12,
+                "smoothed-minus-plain cross-class weight vs beta(2eps+sigma/sqrt(pi))/lam")
+            continue
+        gap = e0 - p.eps
         if abs(gap) <= 1e-12:
             yield CheckRecord(
-                "threshold_sign", {"eps": eps_val}, 0.0, w2, None, "boundary",
+                "threshold_sign", {"eps": p.eps}, 0.0, w2, None, "boundary",
                 "probed exactly at the collapse radius")
             continue
         ok = (w2 > 0) == (gap > 0)
         yield CheckRecord(
-            "threshold_sign", {"eps": eps_val}, float(gap > 0), float(w2 > 0),
+            "threshold_sign", {"eps": p.eps}, float(gap > 0), float(w2 > 0),
             None, "pass" if ok else "fail",
             f"w2*={w2:.6g}, collapse radius {e0:.6g}")
 
 
-def _oracle_minimizers(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
-    # Closed-form minimizers vs projected GD on frozen MC samples: the
-    # frozen_linear_coefficients of one stream, so one draw serves every radius.
-    batch = _draw(base, mc_samples, RngStream(seed).split(2))
-    for eps_val in [f * base.mu for f in (0.05, 0.10, 0.15, 0.20, 0.30, 0.40)]:
-        p = _at(base, eps=eps_val)
+def _oracle_minimizers(base, seed, mc_samples, oracle_steps, case) -> Iterator[CheckRecord]:
+    # Closed-form minimizers vs projected GD on frozen MC samples at one beta
+    # and radii in units of mu: the frozen_linear_coefficients of one stream,
+    # so one draw serves every radius.
+    beta, split, radii = case
+    batch = _draw(base, mc_samples, RngStream(seed).split(split))
+    scale = base.mu / base.lam
+    for eps_val in [f * base.mu for f in radii]:
+        p = _at(base, eps=eps_val, beta=beta)
         best = optimal_weights(p)
         got = projected_gd_oracle(_coefficients(p, batch), p.lam, steps=oracle_steps)
-        scale = base.mu / base.lam
-        yield _check(
-            "oracle_w1", {"eps": eps_val}, best.w1, got.w1, 0.05 * max(best.w1, 1e-12),
-            "projected-GD on frozen MC loss vs closed form")
-        if best.w2 > 0.05 * scale:
-            yield _check(
-                "oracle_w2", {"eps": eps_val}, best.w2, got.w2, 0.05 * best.w2,
-                "projected-GD on frozen MC loss vs closed form")
+        params = {"beta": beta, "eps": eps_val} if beta else {"eps": eps_val}
+        detail = ("projected-GD on frozen smoothed MC loss" if beta
+                  else "projected-GD on frozen MC loss vs closed form")
+        if not beta:  # the smoothed case checks the cross-class weight only
+            yield _check("oracle_w1", params, best.w1, got.w1, 0.05 * max(best.w1, 1e-12), detail)
+        if beta or best.w2 > 0.05 * scale:
+            yield _check("ls_oracle_w2" if beta else "oracle_w2", params, best.w2, got.w2,
+                         0.05 * best.w2, detail)
         else:
             ok = got.w2 < 0.02 * scale
             yield CheckRecord(
@@ -576,85 +598,41 @@ def _oracle_minimizers(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRe
                 "oracle cross-class weight stays near zero past the collapse radius")
 
 
-def _loss_values(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
-    # Loss values: closed form vs straight MC, random hypothesis grid.
+def _loss_values(base, seed, mc_samples, oracle_steps, case) -> Iterator[CheckRecord]:
+    # Loss values, closed form vs straight MC, one point per beta and stream
+    # split + k: at beta = 0 a random (eps, w), with smoothing eps = 0.2 mu
+    # and w = (1, 0.5).  The convention case documents the smoothed w1
+    # coefficient: the implemented c1 = (1-b)(2e-mu) - b*e agrees with MC;
+    # the variant that flips the sign of the mu term does not.
+    betas, split, convention = case
     root = RngStream(seed)
     gen = root.split(3).generator
-    for k in range(5):
-        eps_val = float(gen.uniform(0.02, 0.48)) * base.mu
-        p = _at(base, eps=eps_val)
-        h = LinearHypothesis(float(gen.uniform(0.0, 2.0)), float(gen.uniform(0.0, 2.0)))
-        margins = robust_margin_samples(p, h, mc_samples, root.split(10 + k))
-        reg = 0.5 * p.lam * (h.w1 ** 2 + h.w2 ** 2)
-        se = float(margins.std(ddof=1) / math.sqrt(len(margins)))
-        yield _check(
-            "loss_mc_vs_closed", {"eps": eps_val, "w1": h.w1, "w2": h.w2},
-            robust_loss_closed(p, h), float(margins.mean()) + reg, 3.0 * se + 1e-12,
-            "closed-form robust loss vs direct MC")
-
-
-def _smoothed_loss_values(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
-    # Smoothed loss: closed form vs MC, and the sign of the w1 coefficient.
-    for k, beta in enumerate((0.1, 0.2, 0.3)):
-        p = _at(base, eps=0.2 * base.mu, beta=beta)
-        h = LinearHypothesis(1.0, 0.5)
-        values = ls_margin_samples(p, h, mc_samples, RngStream(seed).split(20 + k))
-        reg = 0.5 * p.lam * (h.w1 ** 2 + h.w2 ** 2)
+    for k, beta in enumerate(betas):
+        p = _at(base, eps=(0.2 if beta else float(gen.uniform(0.02, 0.48))) * base.mu,
+                beta=beta)
+        h = (LinearHypothesis(1.0, 0.5) if beta else
+             LinearHypothesis(float(gen.uniform(0.0, 2.0)), float(gen.uniform(0.0, 2.0))))
+        sampler = ls_margin_samples if beta else robust_margin_samples
+        values = sampler(p, h, mc_samples, root.split(split + k))
+        mc_val = float(values.mean()) + 0.5 * p.lam * (h.w1 ** 2 + h.w2 ** 2)
+        closed = robust_loss_closed(p, h)
+        if convention:
+            alt = closed + 2.0 * (1.0 - beta) * p.mu * h.w1
+            yield CheckRecord(
+                "ls_w1_coefficient_convention", {"beta": beta, "eps": p.eps},
+                closed, mc_val, None, "info",
+                f"|implemented - mc| = {abs(closed - mc_val):.2e}; a sign-flipped "
+                f"mu term gives |alt - mc| = {abs(alt - mc_val):.2e}")
+            continue
         se = float(values.std(ddof=1) / math.sqrt(len(values)))
         yield _check(
-            "ls_loss_mc_vs_closed", {"beta": beta, "eps": p.eps},
-            robust_loss_closed(p, h), float(values.mean()) + reg, 3.0 * se + 1e-12,
-            "closed-form smoothed loss vs direct MC")
+            "ls_loss_mc_vs_closed" if beta else "loss_mc_vs_closed",
+            {"beta": beta, "eps": p.eps} if beta else {"eps": p.eps, "w1": h.w1, "w2": h.w2},
+            closed, mc_val, 3.0 * se + 1e-12,
+            f"closed-form {'smoothed' if beta else 'robust'} loss vs direct MC")
 
 
-def _smoothed_w1_convention(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
-    # Document the linear-coefficient convention for the smoothed loss: the
-    # implemented c1 = (1-b)(2e-mu) - b*e agrees with MC; the variant that
-    # flips the sign of the mu term does not.
-    p_conv = _at(base, eps=0.2 * base.mu, beta=0.2)
-    h_conv = LinearHypothesis(1.0, 0.5)
-    values = ls_margin_samples(p_conv, h_conv, mc_samples, RngStream(seed).split(29))
-    mc_val = float(values.mean()) + 0.5 * p_conv.lam * (h_conv.w1 ** 2 + h_conv.w2 ** 2)
-    implemented = robust_loss_closed(p_conv, h_conv)
-    alt = implemented + 2.0 * (1.0 - p_conv.beta) * p_conv.mu * h_conv.w1
-    yield CheckRecord(
-        "ls_w1_coefficient_convention", {"beta": p_conv.beta, "eps": p_conv.eps},
-        implemented, mc_val, None, "info",
-        f"|implemented - mc| = {abs(implemented - mc_val):.2e}; a sign-flipped "
-        f"mu term gives |alt - mc| = {abs(alt - mc_val):.2e}")
-
-
-def _smoothed_thresholds(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
-    # Smoothed threshold sits above the one-hot threshold; surplus identity.
-    e0 = collapse_radius(_at(base))
-    for beta in (0.1, 0.2, 0.3):
-        p = _at(base, eps=0.1 * base.mu, beta=beta)
-        e1 = collapse_radius(p)
-        yield CheckRecord(
-            "ls_threshold_above", {"beta": beta}, e0, e1, None,
-            "pass" if e1 > e0 else "fail",
-            f"smoothed collapse radius {e1:.6g} vs one-hot {e0:.6g}"
-            + (" (exceeds mu/2)" if e1 >= base.mu / 2 else ""))
-        surplus = beta * (2.0 * p.eps + p.sigma_term) / p.lam
-        diff = optimal_weights(p).w2 - optimal_weights(replace(p, beta=0.0)).w2
-        yield _check(
-            "ls_w2_surplus_identity", {"beta": beta, "eps": p.eps},
-            surplus, diff, 1e-12,
-            "smoothed-minus-plain cross-class weight vs beta(2eps+sigma/sqrt(pi))/lam")
-
-
-def _smoothed_oracle(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
-    # Smoothed minimizer vs projected GD on the smoothed frozen MC loss.
-    p_ls = _at(base, eps=0.2 * base.mu, beta=0.2)
-    best_ls = optimal_weights(p_ls)
-    coeff = frozen_linear_coefficients(p_ls, mc_samples, RngStream(seed).split(31))
-    got_ls = projected_gd_oracle(coeff, p_ls.lam, steps=oracle_steps)
-    yield _check(
-        "ls_oracle_w2", {"beta": p_ls.beta, "eps": p_ls.eps}, best_ls.w2, got_ls.w2,
-        0.05 * best_ls.w2, "projected-GD on frozen smoothed MC loss")
-
-
-def _delta_dominance(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+def _delta_dominance(base, seed, mc_samples, oracle_steps, case) -> Iterator[CheckRecord]:
     # Analytic worst-case perturbation dominates random search.
     gen = RngStream(seed).split(4).generator
     violations = 0
@@ -676,7 +654,7 @@ def _delta_dominance(base, seed, mc_samples, oracle_steps) -> Iterator[CheckReco
         "random-search perturbations never beat the analytic worst case")
 
 
-def _adversarial_distribution(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+def _adversarial_distribution(base, seed, mc_samples, oracle_steps, case) -> Iterator[CheckRecord]:
     # Perturbed-sample distribution: deterministic coords exactly eps,
     # stochastic coords match N(mu - eps, sigma^2) moments.
     p_dist = _at(base, eps=0.2 * base.mu)
@@ -703,7 +681,7 @@ def _adversarial_distribution(base, seed, mc_samples, oracle_steps) -> Iterator[
         "attacked populated coordinates keep variance sigma^2")
 
 
-def _pair_margins(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+def _pair_margins(base, seed, mc_samples, oracle_steps, case) -> Iterator[CheckRecord]:
     # Pairwise margin probability: spot values, monotonicity, MC agreement.
     p_pm = SyntheticParams(mu=1.0, sigma=0.5, lam=base.lam, eps=0.25)
     yield _check(
@@ -738,7 +716,7 @@ def _pair_margins(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]
         f"doubled-variance convention gives {paper_val:.6f}")
 
 
-def _replicated_groups(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRecord]:
+def _replicated_groups(base, seed, mc_samples, oracle_steps, case) -> Iterator[CheckRecord]:
     # Replicated groups decouple.
     group_params = [_at(base, eps=0.1 * base.mu), _at(base, eps=0.4 * base.mu)]
     gv = replicate_groups(group_params, n_samples=mc_samples, rng=RngStream(seed).split(7),
@@ -755,11 +733,15 @@ def _replicated_groups(base, seed, mc_samples, oracle_steps) -> Iterator[CheckRe
         "group below the collapse radius keeps w2 > 0; group above collapses")
 
 
-# In record order; each runs through ``_group_records``, as a generator does not pickle.
-_CHECK_GROUPS = (_max_gauss_mean, _threshold_signs, _oracle_minimizers, _loss_values,
-                 _smoothed_loss_values, _smoothed_w1_convention, _smoothed_thresholds,
-                 _smoothed_oracle, _delta_dominance, _adversarial_distribution,
-                 _pair_margins, _replicated_groups)
+# The jobs in record order, (check, case) pairs, each run through
+# ``_group_records``, as a generator does not pickle.
+_CHECK_GROUPS = (
+    (_max_gauss_mean, None), (_thresholds, (0.0,)),
+    (_oracle_minimizers, (0.0, 2, (0.05, 0.10, 0.15, 0.20, 0.30, 0.40))),
+    (_loss_values, ((0.0,) * 5, 10, False)), (_loss_values, ((0.1, 0.2, 0.3), 20, False)),
+    (_loss_values, ((0.2,), 29, True)), (_thresholds, (0.1, 0.2, 0.3)),
+    (_oracle_minimizers, (0.2, 31, (0.2,))), (_delta_dominance, None),
+    (_adversarial_distribution, None), (_pair_margins, None), (_replicated_groups, None))
 
 
 def run_verification(base: SyntheticParams | None = None, seed: int = 0,
@@ -770,19 +752,19 @@ def run_verification(base: SyntheticParams | None = None, seed: int = 0,
     Returns one record per check.  A record with status ``boundary`` marks a
     threshold probed exactly at its collapse radius (sign test undefined
     there); ``info`` records document convention choices with numbers but do
-    not gate success.  The check groups run in a pool of forked processes,
+    not gate success.  The (check, case) jobs run in a pool of forked processes,
     one per CPU this process may run on; with one CPU they run here.  Either
     way the records are the same, in the same order.
     """
     if base is None:
         base = SyntheticParams()
-    parts = _run_jobs(_group_records, [(group, base, seed, mc_samples, oracle_steps)
-                                       for group in _CHECK_GROUPS])
+    parts = _run_jobs(_group_records, [(check, case, base, seed, mc_samples, oracle_steps)
+                                       for check, case in _CHECK_GROUPS])
     for part in parts:
         if isinstance(part, Exception):
             raise part
     return [record for part in parts for record in part]
 
 
-def _group_records(group, *args) -> list[CheckRecord]:
-    return list(group(*args))
+def _group_records(check, case, *args) -> list[CheckRecord]:
+    return list(check(*args, case))

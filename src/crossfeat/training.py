@@ -109,6 +109,10 @@ class TrainConfig:
         if not (0.0 <= self.lambda_mix <= 1.0):
             raise ValueError(f"lambda_mix must lie in [0, 1], got {self.lambda_mix}")
         CrossEntropy(self.beta)  # the one rule for beta
+        if self.teacher is not None and (not isinstance(self.teacher, (Classifier, str))
+                                         or self.teacher == ""):
+            raise ValueError(f"teacher must be a Classifier, a checkpoint path or None, "
+                             f"got {self.teacher!r}")
         if self.lr < 0 or self.decay_factor <= 0:
             raise ValueError("lr must be >= 0 and decay_factor > 0")
 

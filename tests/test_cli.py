@@ -17,7 +17,7 @@ from crossfeat.cli import (ConfigError, cmd_attribution, cmd_eval,
                            cmd_gen_data, cmd_report, cmd_sweep,
                            cmd_synth_verify, cmd_train, config_hash,
                            load_config)
-from crossfeat.data import PlantedSpec, generate_planted, load_tabular
+from crossfeat.data import PlantedSpec, generate_planted, load_tabular, save_tabular
 from crossfeat.model import Classifier, load_checkpoint, save_checkpoint
 from crossfeat.numerics import RngStream
 from crossfeat.training import evaluate, save_records, train
@@ -708,6 +708,108 @@ class TestListSettings:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+
+class TestPathSettings:
+    """A path that is not a nonempty JSON string, an unknown data format or
+    a class count that is not an integer >= 1 is a config error that names
+    its key, raised before anything trains or is written.  A number reached
+    open() as a file descriptor, a number or "" for out_dir failed only after
+    training, and a class count such as "4" failed mid-load or was ignored.
+    null stays allowed where it means none."""
+
+    FORMATS = "('delimited-text', 'raw-matrix')"
+    TEACHER = "train: teacher must be a Classifier, a checkpoint path or None, got 4"
+
+    @staticmethod
+    def tabular(tmp_path, fmt):
+        splits = generate_planted(PlantedSpec(**base_config()["data"]["planted"]))
+        data = {"format": fmt}
+        for key, dataset in zip(("train_path", "test_path"), splits):
+            data[key] = str(tmp_path / f"{key}.txt")
+            save_tabular(dataset, data[key], fmt)
+        return data
+
+    @pytest.mark.parametrize("command, fmt, keys, value, message", [
+        ("train", None, ("out_dir",), 5, "out_dir: expected a path string or null, got 5"),
+        ("train", None, ("out_dir",), "", "out_dir: expected a path string or null, got ''"),
+        ("gen-data", None, ("out_dir",), ["out"],
+         "out_dir: expected a path string or null, got ['out']"),
+        ("eval", None, ("eval", "checkpoint"), 3,
+         "eval.checkpoint: expected a path string, got 3"),
+        ("eval", None, ("eval", "checkpoint"), None,
+         "eval.checkpoint: expected a path string, got None"),
+        ("attribution", None, ("attribution", "checkpoint"), 5,
+         "attribution.checkpoint: expected a path string, got 5"),
+        ("attribution", None, ("attribution", "checkpoint"), ["a.ckpt"],
+         "attribution.checkpoint: expected a path string, got ['a.ckpt']"),
+        ("attribution", None, ("attribution", "checkpoint_last"), 7,
+         "attribution.checkpoint_last: expected a path string or null, got 7"),
+        ("attribution", None, ("attribution", "checkpoint_last"), "",
+         "attribution.checkpoint_last: expected a path string or null, got ''"),
+        ("train", None, ("train", "teacher"), 4, TEACHER),
+        ("sweep", None, ("train", "teacher"), 4, TEACHER),
+        ("train", None, ("train", "teacher"), "",
+         "train: teacher must be a Classifier, a checkpoint path or None, got ''"),
+        ("train", "delimited-text", ("data", "format"), "csv",
+         f"data.format: expected one of {FORMATS}, got 'csv'"),
+        ("sweep", "raw-matrix", ("data", "format"), None,
+         f"data.format: expected one of {FORMATS}, got None"),
+        ("train", "raw-matrix", ("data", "class_count"), "4",
+         "data.class_count: expected an integer >= 1, got '4'"),
+        ("train", "raw-matrix", ("data", "class_count"), 2.5,
+         "data.class_count: expected an integer >= 1, got 2.5"),
+        ("train", "raw-matrix", ("data", "class_count"), 0,
+         "data.class_count: expected an integer >= 1, got 0"),
+        ("train", "delimited-text", ("data", "class_count"), "4",
+         "data.class_count: expected an integer >= 1, got '4'"),
+        ("train", "delimited-text", ("data", "class_count"), 2.5,
+         "data.class_count: expected an integer >= 1, got 2.5"),
+        ("train", "delimited-text", ("data", "class_count"), True,
+         "data.class_count: expected an integer >= 1, got True"),
+        ("train", "delimited-text", ("data", "train_path"), 5,
+         "data.train_path: expected a path string, got 5"),
+        ("attribution", "raw-matrix", ("data", "test_path"), None,
+         "data.test_path: expected a path string, got None"),
+    ])
+    def test_exits_two_naming_the_key(self, tmp_path, capsys, command, fmt, keys, value,
+                                      message):
+        config = base_config(eval={"checkpoint": str(tmp_path / "none.ckpt")},
+                             attribution={"checkpoint": str(tmp_path / "none.ckpt")},
+                             sweep={"epsilons": [0.2], "modes": ["at"], "seeds": [1]})
+        if fmt is not None:
+            config["data"] = self.tabular(tmp_path, fmt)
+        section = config
+        for key in keys[:-1]:
+            section = section.setdefault(key, {})
+        section[keys[-1]] = value
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, config), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_a_bad_out_dir_trains_no_epoch(self, tmp_path, capsys, monkeypatch):
+        epochs, lr_at = [], training.lr_at
+        monkeypatch.setattr(training, "lr_at",
+                            lambda epoch, cfg: epochs.append(epoch) or lr_at(epoch, cfg))
+        path = write_config(tmp_path, base_config(out_dir=5))
+        assert cli.main(["train", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "config error: out_dir: expected a path string or null, got 5\n")
+        assert epochs == []
+
+    def test_null_means_none(self, tmp_path):
+        config = base_config(out_dir=None, train={"epochs": 1, "teacher": None})
+        config["data"] = {**self.tabular(tmp_path, "raw-matrix"), "class_count": None}
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", write_config(tmp_path, config),
+                         "--out", str(out)]) == 0
+        config["attribution"] = {"checkpoint": str(out / "best.ckpt"), "checkpoint_last": None}
+        assert cli.main(["attribution", "--config", write_config(tmp_path, config),
+                         "--out", str(tmp_path / "attribution")]) == 0
+        assert (tmp_path / "attribution" / "attribution_matrix.txt").exists()
+        assert not (tmp_path / "attribution" / "attribution_matrix_last.txt").exists()
 
 
 class TestMain:

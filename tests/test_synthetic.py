@@ -1,5 +1,6 @@
 """Tests for the three-class planted model: closed forms vs independent oracles."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from crossfeat import synthetic
+from crossfeat.cli import main
 from crossfeat.numerics import RngStream, _row_reduce, std_normal_cdf
 from crossfeat.synthetic import (CLASSES, CheckRecord, GroupVerification,
                                  LinearHypothesis, SyntheticBatch, SyntheticParams,
@@ -484,6 +486,23 @@ class TestParallelChecks:
         assert errors[0] == errors[1] == (ValueError, "n_samples must be at least 1, got 0")
 
 
+class TestSynthVerifyBytes:
+    # sha256 of what the default ``crossfeat synth-verify`` wrote while the
+    # one-hot and smoothed checks of each quantity were separate groups.  A
+    # record that moves, is renamed or is drawn again changes them.
+    DIGESTS = {
+        "records.jsonl": "9c42782f3875139b83142852a2d0a97261c9d1060fb0b06332659f41d15b3d35",
+        "summary.json": "5c2d5f86f879abac77a32969e8e2cf48c138028bfb4bde0c0897755173832a77",
+    }
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_default_files(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert main(["synth-verify", "--out", str(tmp_path)]) == 0
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 class TestBatchValidation:
     """A batch holds (n, 3) blocks and labels in {1, 2, 3}; anything else is
     rejected with an error that names the field."""
@@ -697,6 +716,8 @@ class TestOracleGroupDrawsOnce:
     every radius's coefficients from it."""
 
     BASE = SyntheticParams(mu=1.2, sigma=0.9, lam=0.4)
+    ONE_HOT = next(case for check, case in synthetic._CHECK_GROUPS
+                   if check is synthetic._oracle_minimizers)
 
     def run_group(self, monkeypatch, seed, n):
         draws, coefficients = [], []
@@ -713,7 +734,7 @@ class TestOracleGroupDrawsOnce:
 
         monkeypatch.setattr(synthetic, "sample_mixed", counted)
         monkeypatch.setattr(synthetic, "projected_gd_oracle", recorded)
-        records = list(synthetic._oracle_minimizers(self.BASE, seed, n, 50))
+        records = list(synthetic._oracle_minimizers(self.BASE, seed, n, 50, self.ONE_HOT))
         monkeypatch.undo()
         return records, draws, coefficients
 

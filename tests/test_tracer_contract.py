@@ -50,3 +50,25 @@ def test_attack_and_training_call_backward_by_name():
 
     assert crossfeat.attack.backward is crossfeat.model.backward
     assert crossfeat.training.backward is crossfeat.model.backward
+
+
+def test_a_one_worker_verification_calls_every_traced_synthetic_function(tracer, monkeypatch):
+    # The tracer counts calls of the module attribute, so a check that stops
+    # calling one of these would leave its per-layer metric reading 0.
+    import os
+
+    from crossfeat import synthetic
+
+    calls = dict.fromkeys(tracer.TRACED["synthetic"], 0)
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(synthetic, name, spy(name, getattr(synthetic, name)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    synthetic.run_verification()
+    assert [name for name, count in calls.items() if count == 0] == []
