@@ -327,19 +327,9 @@ def cmd_train(config: dict, out_dir: str | None = None,
     train_set, test_set = _datasets_from(config)
     model, cfg = _training_job(config, run_seed, out_dir, train_set)
     record = train(model, train_set, test_set, cfg)
-    best = record.best_row()
-    last = record.last_row()
-    summary = {
-        "mode": cfg.mode,
-        "epochs": cfg.epochs,
-        "epsilon": cfg.attack.epsilon,
-        "best_epoch": record.best_epoch,
-        "ra_best": None if best is None else best.test_robust_acc,
-        "ra_last": None if last is None else last.test_robust_acc,
-        "cas_best": None if best is None else best.cas,
-        "cas_last": None if last is None else last.cas,
-        "catastrophic_overfitting": detect_collapse(record.rows),
-    }
+    summary = {"mode": cfg.mode, "epochs": cfg.epochs, "epsilon": cfg.attack.epsilon,
+               **record.outcome(),
+               "catastrophic_overfitting": detect_collapse(record.rows)}
     return _report("train", config, run_seed, out_dir,
                    [asdict(row) for row in record.rows], summary)
 
@@ -441,21 +431,15 @@ def _cell_row(eps: float, mode: str, cell_seed: int, result) -> dict:
     if isinstance(result, Exception):  # cell failure is recorded, sweep continues
         row["error"] = f"{type(result).__name__}: {result}"
         return row
-    best, last = result.best_row(), result.last_row()
-    row.update({
-        "ra_best": best.test_robust_acc,
-        "ra_last": last.test_robust_acc,
-        "cas_best": best.cas,
-        "cas_last": last.cas,
-        "delta_cas": best.cas - last.cas,
-        "best_epoch": result.best_epoch,
-        "collapse": detect_collapse(result.rows)["occurred"],
-    })
+    row.update(result.outcome())
+    row["delta_cas"] = row["cas_best"] - row["cas_last"]
+    row["collapse"] = detect_collapse(result.rows)["occurred"]
     return row
 
 
 def cmd_sweep(config: dict, out_dir: str | None = None,
               seed: int | None = None) -> Report:
+    seed = None if seed is None else _integer(seed, "--seed")  # metadata only
     cells = _sweep_cells(config.get("sweep", {}))
     # Every cell trains on the same data: generate it once, not per cell.
     train_set, test_set = _datasets_from(config)
@@ -476,12 +460,9 @@ def cmd_sweep(config: dict, out_dir: str | None = None,
                 if r["epsilon"] == eps and r["mode"] == mode and "error" not in r]
         if not cell:
             continue
-        medians.append({
-            "epsilon": eps, "mode": mode, "seeds": len(cell),
-            **{key: statistics.median(r[key] for r in cell)
-               for key in ("ra_best", "ra_last", "cas_best", "cas_last",
-                           "delta_cas")},
-        })
+        medians.append({"epsilon": eps, "mode": mode, "seeds": len(cell), **{
+            key: statistics.median(r[key] for r in cell)
+            for key in ("ra_best", "ra_last", "cas_best", "cas_last", "delta_cas")}})
     failed = sum(1 for r in rows if "error" in r)
     report = _report("sweep", config, seed, out_dir, rows,
                      {"cells": len(rows), "medians": medians, "failed_cells": failed},
@@ -494,6 +475,7 @@ def cmd_sweep(config: dict, out_dir: str | None = None,
 def cmd_report(config: dict, out_dir: str | None = None,
                seed: int | None = None) -> Report:
     """Re-render a previous run directory in human-readable form."""
+    seed = None if seed is None else _integer(seed, "--seed")
     if out_dir is None:
         raise ConfigError("report requires --out pointing at a run directory")
     summary_path = os.path.join(out_dir, "summary.json")

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, _is_int, as_array
+from .numerics import RngStream, _is_int, _require_number, as_array
 
 __all__ = [
     "Dataset",
@@ -62,6 +62,8 @@ class PlantedSpec:
             raise ValueError(f"replication must be an integer >= 1, got {self.replication!r}")
         if not _is_int(self.noise_dims, 0):
             raise ValueError(f"noise_dims must be an integer >= 0, got {self.noise_dims!r}")
+        for name in ("mu", "sigma"):
+            _require_number(name, getattr(self, name))
         if self.mu <= 0 or self.sigma <= 0:
             raise ValueError(f"mu and sigma must be positive, got {self.mu}, {self.sigma}")
         if not (_is_int(self.n_train, 1) and _is_int(self.n_test, 1)):
@@ -203,7 +205,8 @@ def load_tabular(path: str, format: str = "delimited-text",
     """Read a dataset written by :func:`save_tabular` (or any conforming file).
 
     Labels sit in the final column.  For ``raw-matrix`` the class count is
-    inferred as max label + 1 unless supplied.  Malformed content raises with
+    inferred as max label + 1 unless supplied; for ``delimited-text`` a
+    supplied count must equal the header's.  Malformed content raises with
     the offending line number.
     """
     if format not in _FORMATS:
@@ -224,6 +227,9 @@ def load_tabular(path: str, format: str = "delimited-text",
             dims, declared = int(header[0]), int(header[1])
         except ValueError as exc:
             raise ValueError(f"{path}:{number}: non-integer header field: {exc}") from exc
+        if class_count is not None and class_count != declared:
+            raise ValueError(f"{path}:{number}: header declares {declared} classes, "
+                             f"class_count is {class_count}")
         start = 1
     numbers, body = numbers[start:], lines[start:]
     if not body:  # an empty file, or the header save_tabular writes for no rows

@@ -111,6 +111,13 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _require_number(name: str, value) -> None:
+    """Reject what :func:`_is_number` rejects, naming the field: a string
+    would fail a comparison in Python's words and a bool would pass for 0 or 1."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _fork_pool(workers: int, held):
     """A :class:`_Pool` of ``workers`` processes, forked now, that find ``held``
     in ``_held``; leaving its ``with`` block ends and reaps them."""

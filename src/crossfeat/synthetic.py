@@ -40,7 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Affine, Classifier
-from .numerics import RngStream, _row_reduce, _run_jobs, as_array, std_normal_cdf
+from .numerics import (RngStream, _require_number, _row_reduce, _run_jobs, as_array,
+                       std_normal_cdf)
 
 __all__ = [
     "CheckRecord",
@@ -86,6 +87,8 @@ class SyntheticParams:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("mu", "sigma", "lam", "eps", "beta"):
+            _require_number(name, getattr(self, name))
         if self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.sigma <= 0:

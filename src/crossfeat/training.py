@@ -52,7 +52,8 @@ from .data import Dataset
 from .model import (Classifier, CrossEntropy, Distillation, backward, forward,
                     load_checkpoint, log_softmax, save_checkpoint, sgd_step)
 from . import numerics
-from .numerics import RngStream, _fork_pool, _is_int, _run_jobs, _worker_count
+from .numerics import (RngStream, _fork_pool, _is_int, _require_number, _run_jobs,
+                       _worker_count)
 
 __all__ = [
     "EpochRow",
@@ -102,6 +103,11 @@ class TrainConfig:
             raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("lr", "decay_factor", "momentum", "weight_decay", "beta", "lambda_mix",
+                     "temperature"):
+            _require_number(name, getattr(self, name))
+        for fraction in self.decay_fractions:
+            _require_number("decay_fractions", fraction)
         fr = self.decay_fractions
         if any(not (0.0 < f < 1.0) for f in fr) or any(a >= b for a, b in zip(fr, fr[1:])):
             raise ValueError(
@@ -149,6 +155,15 @@ class RunRecord:
 
     def last_row(self) -> EpochRow | None:
         return self.rows[-1] if self.rows else None
+
+    def outcome(self) -> dict:
+        """Best against last: ``best_epoch``, ``ra_best``, ``ra_last``,
+        ``cas_best`` and ``cas_last``, each None for a run with no epochs."""
+        if not self.rows:
+            return dict.fromkeys(("best_epoch", "ra_best", "ra_last", "cas_best", "cas_last"))
+        best, last = self.rows[self.best_epoch], self.rows[-1]
+        return {"best_epoch": self.best_epoch, "ra_best": best.test_robust_acc,
+                "ra_last": last.test_robust_acc, "cas_best": best.cas, "cas_last": last.cas}
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -211,13 +226,16 @@ def _loss_spec(cfg: TrainConfig):
 
 def _evaluate_epoch(model: Classifier, train_set: Dataset, test_set: Dataset,
                     attack: AttackConfig, standard: bool, train_rng: RngStream,
-                    test_rng: RngStream):
-    """Train metrics, test metrics and the class attribution matrix of one
-    epoch-end model; standard training measures and attributes clean points."""
+                    test_rng: RngStream) -> dict:
+    """The measured ``EpochRow`` fields of one epoch-end model, by name;
+    standard training measures and attributes clean points."""
     train_metrics, _ = evaluate(model, train_set, None if standard else attack, train_rng)
     metrics, points = evaluate(model, test_set, attack, test_rng)
     matrix = class_attribution_matrix(model, test_set, None if standard else points)
-    return train_metrics, metrics, matrix
+    return {"train_robust_loss": train_metrics["mean_loss"],
+            "train_robust_acc": train_metrics["robust_acc"],
+            "test_clean_acc": metrics["clean_acc"],
+            "test_robust_acc": metrics["robust_acc"], "cas": cas(matrix)}
 
 
 def train(model: Classifier, train_set: Dataset, test_set: Dataset,
@@ -241,18 +259,10 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
     def settle() -> None:
         nonlocal best
         for epoch, snapshot, evaluation in pending:
-            train_metrics, metrics, matrix = (evaluation.result() if pipelined
-                                              else evaluation)
-            rows.append(EpochRow(
-                epoch=epoch,
-                train_robust_loss=train_metrics["mean_loss"],
-                train_robust_acc=train_metrics["robust_acc"],
-                test_clean_acc=metrics["clean_acc"],
-                test_robust_acc=metrics["robust_acc"],
-                cas=cas(matrix),
-            ))
-            if metrics["robust_acc"] > best[0]:
-                best = (metrics["robust_acc"], epoch, snapshot)
+            row = EpochRow(epoch, **(evaluation.result() if pipelined else evaluation))
+            rows.append(row)
+            if row.test_robust_acc > best[0]:
+                best = (row.test_robust_acc, epoch, snapshot)
         pending.clear()
 
     with (_fork_pool(1, (train_set, test_set)) if pipelined

@@ -11,6 +11,7 @@ import pytest
 
 import crossfeat
 from crossfeat import cli, training
+from crossfeat.attack import AttackConfig
 from crossfeat.attribution import (cas, class_attribution_matrix,
                                    instance_cas_matrix, load_matrix)
 from crossfeat.cli import (ConfigError, cmd_attribution, cmd_eval,
@@ -20,7 +21,7 @@ from crossfeat.cli import (ConfigError, cmd_attribution, cmd_eval,
 from crossfeat.data import PlantedSpec, generate_planted, load_tabular, save_tabular
 from crossfeat.model import Classifier, load_checkpoint, save_checkpoint
 from crossfeat.numerics import RngStream
-from crossfeat.training import evaluate, save_records, train
+from crossfeat.training import EpochRow, detect_collapse, evaluate, save_records, train
 
 
 def base_config(**overrides):
@@ -504,6 +505,35 @@ class TestSweep:
         assert report.summary["failed_cells"] == 1
 
 
+class TestBestEpochTie:
+    """The best epoch is the highest test robust accuracy, the earliest epoch
+    on a tie.  train() keeps that epoch's snapshot as it goes and
+    detect_collapse picks the row again; every report must agree."""
+
+    def test_every_report_names_the_earliest_tied_epoch(self, tmp_path):
+        config = base_config(train={"epochs": 6})
+        out = tmp_path / "run"
+        rows = cmd_train(config, out_dir=str(out)).records
+        top = max(row["test_robust_acc"] for row in rows)
+        tied = [row for row in rows if row["test_robust_acc"] == top]
+        best = tied[0]
+        # A real tie, and one whose epochs CAS tells apart.
+        assert len(tied) == 3 and len({row["cas"] for row in tied}) == 3
+        summary = json.loads((out / "summary.json").read_text())["summary"]
+        assert (summary["best_epoch"], summary["cas_best"]) == (best["epoch"], best["cas"])
+        assert detect_collapse([EpochRow(**row) for row in rows])["cas_best"] == best["cas"]
+        cell = cmd_sweep(dict(config, sweep={"epsilons": [0.2], "modes": ["at"],
+                                             "seeds": [0]})).records[0]
+        assert (cell["best_epoch"], cell["cas_best"]) == (best["epoch"], best["cas"])
+        model, epoch, metrics = load_checkpoint(str(out / "best.ckpt"))
+        assert (epoch, metrics) == (best["epoch"], best)
+        # The stored weights are that epoch's: its evaluation gives its CAS back.
+        test_set = generate_planted(PlantedSpec(**config["data"]["planted"]))[1]
+        attack = AttackConfig(**config["attack"])
+        _, points = evaluate(model, test_set, attack, RngStream(0).split(3).split(epoch))
+        assert cas(class_attribution_matrix(model, test_set, points)) == best["cas"]
+
+
 class TestReportCmd:
     def test_renders_previous_run(self, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -552,8 +582,9 @@ class TestMetadata:
 
 
 class TestIntegerSettings:
-    """A seed or a count that is not an integer is a config error that names
-    its key, not a truncated seed or a late TypeError."""
+    """A seed or a count that is not an integer, or a float setting that is
+    not a number, is a config error that names its key, not a truncated
+    seed, a late TypeError, or true trained as 1."""
 
     @pytest.mark.parametrize("command, keys, value, message", [
         ("train", ("seed",), 1.5, "seed: expected a non-negative integer, got 1.5"),
@@ -594,6 +625,31 @@ class TestIntegerSettings:
          f"sweep.seeds: expected an integer <= {2**64 - 1}, got {2**64}"),
         ("synth-verify", ("synthetic", "mc_samples"), 2**64,
          f"synthetic.mc_samples: expected an integer <= {2**64 - 1}, got {2**64}"),
+        ("train", ("train", "lr"), True, "train: lr must be a number, got True"),
+        ("train", ("train", "lr"), "0.1", "train: lr must be a number, got '0.1'"),
+        ("train", ("train", "decay_factor"), None,
+         "train: decay_factor must be a number, got None"),
+        ("train", ("train", "momentum"), "0.9", "train: momentum must be a number, got '0.9'"),
+        ("train", ("train", "weight_decay"), "5e-4",
+         "train: weight_decay must be a number, got '5e-4'"),
+        ("train", ("train", "beta"), "0.2", "train: beta must be a number, got '0.2'"),
+        ("train", ("train", "lambda_mix"), "0.5",
+         "train: lambda_mix must be a number, got '0.5'"),
+        ("train", ("train", "temperature"), False,
+         "train: temperature must be a number, got False"),
+        ("train", ("train", "decay_fractions"), ["0.5"],
+         "train: decay_fractions must be a number, got '0.5'"),
+        ("train", ("train", "decay_fractions"), [0.5, True],
+         "train: decay_fractions must be a number, got True"),
+        ("synth-verify", ("synthetic", "mu"), "1", "synthetic: mu must be a number, got '1'"),
+        ("synth-verify", ("synthetic", "sigma"), True,
+         "synthetic: sigma must be a number, got True"),
+        ("synth-verify", ("synthetic", "lam"), [0.1],
+         "synthetic: lam must be a number, got [0.1]"),
+        ("gen-data", ("data", "planted", "sigma"), "0.3",
+         "data.planted: sigma must be a number, got '0.3'"),
+        ("train", ("data", "planted", "mu"), True,
+         "data.planted: mu must be a number, got True"),
     ])
     def test_exits_two_naming_the_key(self, tmp_path, capsys, command, keys, value,
                                       message):
@@ -609,7 +665,7 @@ class TestIntegerSettings:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "gen-data", "synth-verify", "eval",
-                                         "attribution"])
+                                         "attribution", "sweep", "report"])
     @pytest.mark.parametrize("seed, message", [
         (-1, "--seed: expected a non-negative integer, got -1"),
         (2**64, f"--seed: expected an integer <= {2**64 - 1}, got {2**64}"),
@@ -798,6 +854,25 @@ class TestPathSettings:
         assert capsys.readouterr().err == (
             "config error: out_dir: expected a path string or null, got 5\n")
         assert epochs == []
+
+    def test_a_class_count_against_the_header_trains_no_epoch(self, tmp_path, capsys,
+                                                               monkeypatch):
+        epochs, lr_at = [], training.lr_at
+        monkeypatch.setattr(training, "lr_at",
+                            lambda epoch, cfg: epochs.append(epoch) or lr_at(epoch, cfg))
+        config = base_config()
+        config["data"] = {**self.tabular(tmp_path, "delimited-text"), "class_count": 7}
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", write_config(tmp_path, config),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {config['data']['train_path']}:1: header declares "
+            f"3 classes, class_count is 7\n")
+        assert epochs == []
+        assert not out.exists()
+        config["data"]["class_count"] = 3  # an equal count is accepted
+        assert cli.main(["train", "--config", write_config(tmp_path, config),
+                         "--out", str(out)]) == 0
 
     def test_null_means_none(self, tmp_path):
         config = base_config(out_dir=None, train={"epochs": 1, "teacher": None})

@@ -184,6 +184,22 @@ class TestTabularIO:
         loaded = load_tabular(path, format="raw-matrix")
         assert loaded.class_count == int(dataset.labels.max()) + 1
 
+    def test_a_given_class_count_must_match_the_header(self, dataset, tmp_path):
+        path = tmp_path / "data.txt"
+        save_tabular(dataset, str(path))
+        count = dataset.class_count
+        assert load_tabular(str(path), class_count=count).class_count == count
+        with pytest.raises(ValueError) as info:
+            load_tabular(str(path), class_count=count + 3)
+        assert str(info.value) == (
+            f"{path}:1: header declares {count} classes, class_count is {count + 3}")
+        path.write_text("\n2,2\n1,2,0\n")  # the header's own line is named
+        with pytest.raises(ValueError, match=r"^.*:2: header declares 2 classes, "
+                                             r"class_count is 1$"):
+            load_tabular(str(path), class_count=1)
+        save_tabular(dataset, str(path), format="raw-matrix")  # no header to disagree with
+        assert load_tabular(str(path), "raw-matrix", count + 3).class_count == count + 3
+
     def test_unknown_format_rejected(self, dataset, tmp_path):
         path = str(tmp_path / "data.txt")
         with pytest.raises(ValueError, match="format"):

@@ -43,6 +43,17 @@ class TestParams:
         with pytest.raises(ValueError, match="beta"):
             SyntheticParams(beta=1.0 / 3.0)
 
+    # mu, sigma and lam are config keys, checked in test_cli; eps and beta are not.
+    @pytest.mark.parametrize("name", ["eps", "beta"])
+    @pytest.mark.parametrize("value", ["0.1", True])
+    def test_a_non_number_is_named(self, name, value):
+        with pytest.raises(ValueError) as info:
+            SyntheticParams(**{name: value})
+        assert str(info.value) == f"{name} must be a number, got {value!r}"
+
+    def test_numpy_numbers_are_numbers(self):
+        assert SyntheticParams(mu=np.float64(1.0), lam=np.int64(1)).lam == 1
+
     def test_sigma_term_is_sigma_over_sqrt_pi(self):
         assert SyntheticParams(**DEFAULTS).sigma_term == pytest.approx(0.5, abs=1e-15)
         assert SyntheticParams(sigma=0.35).sigma_term == pytest.approx(

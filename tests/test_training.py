@@ -66,6 +66,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(epochs=1, attack=attack, lr=-0.1)
 
+    def test_numpy_numbers_are_numbers(self):
+        cfg = TrainConfig(epochs=1, attack=AttackConfig(), lr=np.float64(0.1),
+                          decay_fractions=(np.float64(0.5),))
+        assert cfg.lr == 0.1
+
     def test_beta_rule_is_the_cross_entropy_rule(self):
         attack = AttackConfig(epsilon=0.1)
         for beta in (1.0, -0.5):
