@@ -1,10 +1,11 @@
-"""Feature-attribution measurements: per-sample attribution vectors, the
-K x K class attribution correlation matrix, the class attribution similarity
-score (CAS), an instance-wise variant, and best-vs-last matrix differences.
+"""Feature-attribution measurements: the K x K class attribution correlation
+matrix, the class attribution similarity score (CAS), an instance-wise
+variant, and the text format the matrices are saved in.
 
-The attribution vector of sample x for class i is the elementwise product of
-the feature activation g(x) with head row W[i]; with a bias-free head its
-entries sum to the class-i logit.  The class matrix averages attribution
+The attribution vector of sample x for class i is the elementwise product
+``features(model, x) * model.head.weights[i]`` of the feature activation
+g(x) with head row W[i]; with a bias-free head its entries sum to the
+class-i logit.  The class matrix averages attribution
 vectors of the given points per true class (the clean dataset inputs when no
 points are given; callers pass the attacked test points of their evaluation
 pass) and takes pairwise cosines.  CAS sums positive off-diagonal entries
@@ -23,21 +24,12 @@ from .model import Classifier, _row_blocks, features
 from .numerics import as_array, unit_rows
 
 __all__ = [
-    "attribution_vectors",
     "cas",
     "class_attribution_matrix",
     "instance_cas_matrix",
     "load_matrix",
-    "matrix_diff",
     "save_matrix",
 ]
-
-
-def attribution_vectors(model: Classifier, x, class_i: int) -> np.ndarray:
-    """Row-wise A_i(x) = g(x) * W[i] (elementwise), shape (batch, feature_dim)."""
-    if not (0 <= class_i < model.class_count):
-        raise ValueError(f"class {class_i} out of range for {model.class_count} classes")
-    return features(model, x) * model.head.weights[class_i]
 
 
 def _class_features(model: Classifier, dataset: Dataset,
@@ -106,15 +98,6 @@ def instance_cas_matrix(model: Classifier, dataset: Dataset,
                                          for rows in _row_blocks(len(ui))]).mean()
                          for uj in units] for ui in units])
     return entries, cas(entries)
-
-
-def matrix_diff(best: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, float]:
-    """Elementwise best-minus-last difference and the CAS gap."""
-    b = as_array(best, name="best")
-    l = as_array(last, name="last")
-    if b.shape != l.shape:
-        raise ValueError(f"matrix shapes differ: {b.shape} vs {l.shape}")
-    return b - l, cas(b) - cas(l)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ Subcommands: ``synth-verify`` (closed-form theory against its oracles),
 ``sweep`` (epsilon x mode x seed grid with median aggregation), and
 ``report`` (render a previous output directory).
 
-Configs are JSON.  Every key is checked against the schema below and unknown
-keys are rejected with their dotted location.  Results are written as
+Configs are JSON.  Every command checks the whole config against the schema
+below, which states the rule for each value the CLI checks itself, and names
+the dotted location of an unknown key or a bad value.  Results are written as
 line-delimited records plus a ``summary.json``; both are deterministic for a
 fixed config and seed (wall-clock metadata goes to a separate file).  The
 exit status is 0 iff every embedded assertion passed.
@@ -15,6 +16,7 @@ exit status is 0 iff every embedded assertion passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -26,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .attack import AttackConfig
 from .attribution import (cas, class_attribution_matrix, instance_cas_matrix,
-                          load_matrix, matrix_diff, save_matrix)
+                          load_matrix, save_matrix)
 from .data import _FORMATS, Dataset, PlantedSpec, generate_planted, load_tabular, save_tabular
 from .model import Classifier, load_checkpoint
 from .numerics import _MASK64, RngStream, _is_int, _is_number
@@ -47,44 +49,108 @@ class ConfigError(ValueError):
 # Config schema
 # ---------------------------------------------------------------------------
 
+def _rule(test, wanted: str):
+    """A schema leaf: None for a value that passes ``test``, else the fault."""
+    return lambda value: None if test(value) else f"expected {wanted}, got {value!r}"
+
+
+def _at_least(minimum: int):
+    # RngStream would truncate a seed of 1.5 or True to another seed, and it
+    # rejects one past 2**64 - 1 without naming the key.
+    low = _rule(lambda v: _is_int(v, minimum),
+                f"an integer >= {minimum}" if minimum else "a non-negative integer")
+    high = _rule(lambda v: v <= _MASK64, f"an integer <= {_MASK64}")
+    return lambda value: low(value) or high(value)
+
+
+def _list_of(wanted: str, entry=None):
+    # A scalar would fail in Python's words, and a string would iterate.
+    def check(value):
+        if not isinstance(value, list):
+            return f"expected a JSON list {wanted}"
+        return next(filter(None, map(entry, value)), None) if entry else None
+    return check
+
+
+def _or_null(rule):
+    return lambda value: None if value is None else rule(value)
+
+
+_SEED = _at_least(0)
+_SWITCH = _rule(lambda v: isinstance(v, bool), "true or false")  # bool("false") is True
+# A number would reach open() as a file descriptor; a number or "" for out_dir
+# would fail only after training.
+_PATH = _rule(lambda v: isinstance(v, str) and v != "", "a path string")
+_PATH_OR_NULL = _rule(lambda v: v is None or _PATH(v) is None, "a path string or null")
+_BOUNDS = _or_null(_list_of("[lo, hi]"))  # null: unbounded
+
+# Every config key.  A leaf is the rule the CLI checks for its value, or None
+# where the dataclass the value goes to owns the rule.
 _SCHEMA = {
-    "out_dir": None,
-    "seed": None,
-    "synthetic": {"mu": None, "sigma": None, "lam": None, "mc_samples": None,
-                  "oracle_steps": None, "seed": None},
+    "out_dir": _PATH_OR_NULL,
+    "seed": _SEED,
+    "synthetic": {"mu": None, "sigma": None, "lam": None, "mc_samples": _at_least(1),
+                  "oracle_steps": _at_least(0), "seed": _SEED},
     "data": {
         "planted": {"classes": None, "replication": None, "noise_dims": None,
-                    "mu": None, "sigma": None, "rotate": None, "n_train": None,
-                    "n_test": None, "seed": None},
-        "train_path": None, "test_path": None, "format": None, "class_count": None,
+                    "mu": None, "sigma": None, "rotate": _SWITCH, "n_train": None,
+                    "n_test": None, "seed": _SEED},
+        "train_path": _PATH, "test_path": _PATH,
+        "format": _rule(lambda v: v in _FORMATS, f"one of {_FORMATS}"),
+        "class_count": _or_null(_at_least(1)),  # null: read from the file
     },
-    "model": {"hidden": None, "hidden_bias": None, "head_bias": None},
+    "model": {"hidden": _list_of("of integers"), "hidden_bias": _SWITCH,
+              "head_bias": _SWITCH},
     "train": {"epochs": None, "batch_size": None, "lr": None,
-              "decay_fractions": None, "decay_factor": None, "momentum": None,
-              "weight_decay": None, "mode": None, "beta": None,
+              "decay_fractions": _list_of("of numbers"), "decay_factor": None,
+              "momentum": None, "weight_decay": None, "mode": None, "beta": None,
               "lambda_mix": None, "temperature": None, "teacher": None},
     "attack": {"norm": None, "epsilon": None, "step_size": None, "steps": None,
-               "random_start": None, "input_bounds": None},
+               "random_start": _SWITCH, "input_bounds": _BOUNDS},
     "eval_attack": {"norm": None, "epsilon": None, "step_size": None,
-                    "steps": None, "random_start": None, "input_bounds": None},
-    "attribution": {"checkpoint": None, "checkpoint_last": None, "clean": None},
-    "eval": {"checkpoint": None},
-    "sweep": {"epsilons": None, "modes": None, "seeds": None},
+                    "steps": None, "random_start": _SWITCH, "input_bounds": _BOUNDS},
+    "attribution": {"checkpoint": _PATH, "checkpoint_last": _PATH_OR_NULL,
+                    "clean": _SWITCH},
+    "eval": {"checkpoint": _PATH},
+    "sweep": {"epsilons": _list_of("of numbers", _rule(_is_number, "numbers")),
+              "modes": _list_of("of strings", _rule(lambda v: isinstance(v, str), "strings")),
+              "seeds": _list_of("of integers", _SEED)},
 }
 
 
-def _validate_keys(obj, schema, path: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object, got {type(obj).__name__}")
-    for key, value in obj.items():
+def _check(config, schema: dict = _SCHEMA, path: str = "") -> None:
+    """Walk ``config`` and ``schema`` together; raise naming the first key at fault."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object, got {type(config).__name__}")
+    for key, value in config.items():
         location = f"{path}.{key}" if path else key
         if key not in schema:
             raise ConfigError(f"unknown config key {location!r}")
-        sub = schema[key]
-        if isinstance(sub, dict) and isinstance(value, dict):
-            _validate_keys(value, sub, location)
-        elif isinstance(sub, dict) and value is not None:
-            raise ConfigError(f"{location}: expected an object")
+        rule = schema[key]
+        if isinstance(rule, dict):
+            if value is not None:  # a null section means none
+                _check(value, rule, location)
+        elif rule is not None and (fault := rule(value)):
+            raise ConfigError(f"{location}: {fault}")
+
+
+_COMMANDS = {}
+
+
+def _command(name: str):
+    """Register a ``cmd_*`` function as ``crossfeat <name>``.  It checks the
+    whole config, and a ``--seed`` override, before it runs: tests and library
+    callers pass dicts straight to the ``cmd_*`` functions."""
+    def register(command):
+        @functools.wraps(command)
+        def run(config: dict, out_dir: str | None = None, seed: int | None = None) -> Report:
+            _check(config)
+            if seed is not None and (fault := _SEED(seed)):
+                raise ConfigError(f"--seed: {fault}")
+            return command(config, out_dir, seed)
+        _COMMANDS[name] = run
+        return run
+    return register
 
 
 def load_config(path: str | None) -> dict:
@@ -97,7 +163,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}")
-    _validate_keys(config, _SCHEMA, "")
+    _check(config)
     return config
 
 
@@ -118,62 +184,21 @@ def _build(section: str, ctor, kwargs: dict):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _integer(value, location: str, override: int | None = None, minimum: int = 0) -> int:
-    """``override`` (from ``--seed``) if set, else ``value``; both are checked."""
-    if override is not None:
-        _integer(override, "--seed")
-    # RngStream would truncate a seed of 1.5 or True to another seed, and it
-    # rejects one past 2**64 - 1 without naming the key.
-    if not _is_int(value, minimum):
-        wanted = f"an integer >= {minimum}" if minimum else "a non-negative integer"
-        raise ConfigError(f"{location}: expected {wanted}, got {value!r}")
-    if value > _MASK64:
-        raise ConfigError(f"{location}: expected an integer <= {_MASK64}, got {value!r}")
-    return value if override is None else override
-
-
-def _boolean(value, location: str) -> bool:
-    # bool("false") is True: only JSON true and false are accepted.
-    if not isinstance(value, bool):
-        raise ConfigError(f"{location}: expected true or false, got {value!r}")
-    return value
-
-
-def _path(value, location: str, optional: bool = False) -> str | None:
-    # A number would reach open() as a file descriptor; a number or "" for
-    # out_dir would fail only after training.
-    if (isinstance(value, str) and value) or (optional and value is None):
-        return value
-    wanted = "a path string or null" if optional else "a path string"
-    raise ConfigError(f"{location}: expected {wanted}, got {value!r}")
-
-
-def _json_list(value, location: str, wanted: str) -> list:
-    if not isinstance(value, list):  # a scalar fails in Python's words; a string iterates
-        raise ConfigError(f"{location}: expected {wanted}")
-    return value
-
-
 def _attack_from(config: dict, key: str = "attack") -> AttackConfig | None:
     section = config.get(key)
     if section is None:
         return None
-    kwargs = dict(section)
-    _boolean(kwargs.get("random_start", False), f"{key}.random_start")
-    if kwargs.get("input_bounds") is not None:
-        kwargs["input_bounds"] = tuple(_json_list(kwargs["input_bounds"], f"{key}.input_bounds",
-                                                  "a JSON list [lo, hi]"))
-    return _build(key, AttackConfig, kwargs)
+    bounds = section.get("input_bounds")
+    return _build(key, AttackConfig,
+                  dict(section, input_bounds=None if bounds is None else tuple(bounds)))
 
 
 def _planted_from(config: dict, seed: int | None) -> PlantedSpec | None:
     planted = config.get("data", {}).get("planted")
     if planted is None:
         return None
-    kwargs = dict(planted)
-    kwargs["seed"] = _integer(kwargs.get("seed", PlantedSpec.seed), "data.planted.seed", seed)
-    _boolean(kwargs.get("rotate", PlantedSpec.rotate), "data.planted.rotate")
-    return _build("data.planted", PlantedSpec, kwargs)
+    return _build("data.planted", PlantedSpec,
+                  dict(planted) if seed is None else dict(planted, seed=seed))
 
 
 def _datasets_from(config: dict, train: bool = True) -> tuple[Dataset | None, Dataset]:
@@ -183,30 +208,30 @@ def _datasets_from(config: dict, train: bool = True) -> tuple[Dataset | None, Da
     data = config.get("data", {})
     if "train_path" not in data or "test_path" not in data:
         raise ConfigError("data: need either data.planted or train_path + test_path")
-    train_path, test_path = (_path(data[key], f"data.{key}")
-                             for key in ("train_path", "test_path"))
     fmt = data.get("format", "delimited-text")
-    if fmt not in _FORMATS:
-        raise ConfigError(f"data.format: expected one of {_FORMATS}, got {fmt!r}")
-    count = data.get("class_count")
-    if count is not None:  # null: raw-matrix infers it, delimited-text reads its header
-        _integer(count, "data.class_count", minimum=1)
-    return (load_tabular(train_path, fmt, count) if train else None,
-            load_tabular(test_path, fmt, count))
+    count = data.get("class_count")  # null: raw-matrix infers it, delimited-text reads its header
+    return (load_tabular(data["train_path"], fmt, count) if train else None,
+            load_tabular(data["test_path"], fmt, count))
 
 
-def _train_cfg_from(config: dict, seed: int, out_dir: str | None) -> TrainConfig:
-    section = dict(config.get("train", {}))
-    if "epochs" not in section:
+def _training_job(config: dict, seed: int, out_dir: str | None,
+                  train_set: Dataset) -> tuple[Classifier, TrainConfig]:
+    section = config.get("model", {})
+    model = _build("model", Classifier.create, dict(
+        input_dim=train_set.inputs.shape[1],
+        hidden_widths=section.get("hidden", [32, 32]),
+        classes=train_set.class_count, rng=RngStream(seed).split(0),
+        hidden_bias=section.get("hidden_bias", True),
+        head_bias=section.get("head_bias", False),
+    ))
+    kwargs = dict(config.get("train", {}))
+    if "epochs" not in kwargs:
         raise ConfigError("train.epochs is required")
-    attack = _attack_from(config) or AttackConfig()
-    if "decay_fractions" in section:
-        section["decay_fractions"] = tuple(_json_list(section["decay_fractions"],
-                                                      "train.decay_fractions",
-                                                      "a JSON list of numbers"))
-    return _build("train", TrainConfig, dict(
-        section, attack=attack, eval_attack=_attack_from(config, "eval_attack"),
-        seed=seed, out_dir=out_dir))
+    if "decay_fractions" in kwargs:
+        kwargs["decay_fractions"] = tuple(kwargs["decay_fractions"])
+    return model, _build("train", TrainConfig, dict(
+        kwargs, attack=_attack_from(config) or AttackConfig(),
+        eval_attack=_attack_from(config, "eval_attack"), seed=seed, out_dir=out_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +293,13 @@ def _report(command: str, config: dict, seed: int | None, out_dir: str | None,
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth_verify(config: dict, out_dir: str | None = None,
-                     seed: int | None = None) -> Report:
+@_command("synth-verify")
+def cmd_synth_verify(config: dict, out_dir: str | None = None, seed: int | None = None) -> Report:
     section = dict(config.get("synthetic", {}))
-    mc_samples = _integer(section.pop("mc_samples", 200_000), "synthetic.mc_samples",
-                          minimum=1)
-    oracle_steps = _integer(section.pop("oracle_steps", 10_000), "synthetic.oracle_steps")
-    run_seed = _integer(section.pop("seed", 0), "synthetic.seed", seed)
+    mc_samples = section.pop("mc_samples", 200_000)
+    oracle_steps = section.pop("oracle_steps", 10_000)
+    run_seed = section.pop("seed", 0)  # popped even when --seed overrides it
+    run_seed = run_seed if seed is None else seed
     params = _build("synthetic", SyntheticParams, section)
     checks = run_verification(params, seed=run_seed, mc_samples=mc_samples,
                               oracle_steps=oracle_steps)
@@ -288,8 +313,8 @@ def cmd_synth_verify(config: dict, out_dir: str | None = None,
                    passed=not failures)
 
 
-def cmd_gen_data(config: dict, out_dir: str | None = None,
-                 seed: int | None = None) -> Report:
+@_command("gen-data")
+def cmd_gen_data(config: dict, out_dir: str | None = None, seed: int | None = None) -> Report:
     spec = _planted_from(config, seed)
     if spec is None:
         raise ConfigError("gen-data requires a data.planted section")
@@ -307,23 +332,9 @@ def cmd_gen_data(config: dict, out_dir: str | None = None,
                     "train_rows": len(train_set), "test_rows": len(test_set)})
 
 
-def _training_job(config: dict, seed: int, out_dir: str | None,
-                  train_set: Dataset) -> tuple[Classifier, TrainConfig]:
-    section = config.get("model", {})
-    model = _build("model", Classifier.create, dict(
-        input_dim=train_set.inputs.shape[1],
-        hidden_widths=_json_list(section.get("hidden", [32, 32]), "model.hidden",
-                                 "a JSON list of integers"),
-        classes=train_set.class_count, rng=RngStream(seed).split(0),
-        hidden_bias=_boolean(section.get("hidden_bias", True), "model.hidden_bias"),
-        head_bias=_boolean(section.get("head_bias", False), "model.head_bias"),
-    ))
-    return model, _train_cfg_from(config, seed, out_dir)
-
-
-def cmd_train(config: dict, out_dir: str | None = None,
-              seed: int | None = None) -> Report:
-    run_seed = _integer(config.get("seed", 0), "seed", seed)
+@_command("train")
+def cmd_train(config: dict, out_dir: str | None = None, seed: int | None = None) -> Report:
+    run_seed = config.get("seed", 0) if seed is None else seed
     train_set, test_set = _datasets_from(config)
     model, cfg = _training_job(config, run_seed, out_dir, train_set)
     record = train(model, train_set, test_set, cfg)
@@ -334,13 +345,13 @@ def cmd_train(config: dict, out_dir: str | None = None,
                    [asdict(row) for row in record.rows], summary)
 
 
-def cmd_eval(config: dict, out_dir: str | None = None,
-             seed: int | None = None) -> Report:
+@_command("eval")
+def cmd_eval(config: dict, out_dir: str | None = None, seed: int | None = None) -> Report:
     section = config.get("eval", {})
     if "checkpoint" not in section:
         raise ConfigError("eval.checkpoint is required")
-    path = _path(section["checkpoint"], "eval.checkpoint")
-    run_seed = _integer(config.get("seed", 0), "seed", seed)
+    path = section["checkpoint"]
+    run_seed = config.get("seed", 0) if seed is None else seed
     model, epoch, _ = load_checkpoint(path)
     test_set = _datasets_from(config, train=False)[1]
     attack = _attack_from(config)
@@ -350,20 +361,16 @@ def cmd_eval(config: dict, out_dir: str | None = None,
                    dict(metrics))
 
 
-def cmd_attribution(config: dict, out_dir: str | None = None,
-                    seed: int | None = None) -> Report:
+@_command("attribution")
+def cmd_attribution(config: dict, out_dir: str | None = None, seed: int | None = None) -> Report:
     section = config.get("attribution", {})
     if "checkpoint" not in section:
         raise ConfigError("attribution.checkpoint is required")
-    paths = [_path(section["checkpoint"], "attribution.checkpoint")]
-    last = _path(section.get("checkpoint_last"), "attribution.checkpoint_last", optional=True)
-    if last is not None:
-        paths.append(last)
-    run_seed = _integer(config.get("seed", 0), "seed", seed)
+    paths = [p for p in (section["checkpoint"], section.get("checkpoint_last")) if p is not None]
+    run_seed = config.get("seed", 0) if seed is None else seed
     test_set = _datasets_from(config, train=False)[1]
     attack = _attack_from(config)
-    clean = (_boolean(section.get("clean", False), "attribution.clean")
-             or attack is None or attack.epsilon == 0.0)
+    clean = section.get("clean", False) or attack is None or attack.epsilon == 0.0
     models = [load_checkpoint(path)[0] for path in paths]
     if models[-1].class_count != models[0].class_count:
         raise ConfigError("attribution: checkpoints have different class counts")
@@ -382,9 +389,9 @@ def cmd_attribution(config: dict, out_dir: str | None = None,
     summary = {"cas": records[0]["cas"], "icas": records[0]["icas"],
                "robust_acc": records[0]["robust_acc"], "clean_attribution": clean}
     if len(models) == 2:
-        diff, summary["delta_cas"] = matrix_diff(matrices["attribution_matrix.txt"],
-                                                 matrices["attribution_matrix_last.txt"])
-        matrices["attribution_diff.txt"] = diff
+        best, last = matrices["attribution_matrix.txt"], matrices["attribution_matrix_last.txt"]
+        matrices["attribution_diff.txt"] = best - last
+        summary["delta_cas"] = cas(best) - cas(last)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for name, m in matrices.items():
@@ -398,16 +405,8 @@ def _sweep_cells(section: dict) -> list[tuple[float, str, int]]:
     epsilons = section.get("epsilons")
     modes = section.get("modes")
     seeds = section.get("seeds", [1, 2, 3])
-    if not all(isinstance(v, list) and v for v in (epsilons, modes, seeds)):
+    if not (epsilons and modes and seeds):
         raise ConfigError("sweep requires nonempty JSON lists epsilons, modes, and seeds")
-    for eps in epsilons:
-        if not _is_number(eps):
-            raise ConfigError(f"sweep.epsilons: expected numbers, got {eps!r}")
-    for mode in modes:
-        if not isinstance(mode, str):
-            raise ConfigError(f"sweep.modes: expected strings, got {mode!r}")
-    for cell_seed in seeds:
-        _integer(cell_seed, "sweep.seeds")
     cells = [(eps, mode, cell_seed) for eps in epsilons for mode in modes
              for cell_seed in seeds]
     owners: dict[str, tuple] = {}
@@ -437,9 +436,8 @@ def _cell_row(eps: float, mode: str, cell_seed: int, result) -> dict:
     return row
 
 
-def cmd_sweep(config: dict, out_dir: str | None = None,
-              seed: int | None = None) -> Report:
-    seed = None if seed is None else _integer(seed, "--seed")  # metadata only
+@_command("sweep")
+def cmd_sweep(config: dict, out_dir: str | None = None, seed: int | None = None) -> Report:
     cells = _sweep_cells(config.get("sweep", {}))
     # Every cell trains on the same data: generate it once, not per cell.
     train_set, test_set = _datasets_from(config)
@@ -464,7 +462,7 @@ def cmd_sweep(config: dict, out_dir: str | None = None,
             key: statistics.median(r[key] for r in cell)
             for key in ("ra_best", "ra_last", "cas_best", "cas_last", "delta_cas")}})
     failed = sum(1 for r in rows if "error" in r)
-    report = _report("sweep", config, seed, out_dir, rows,
+    report = _report("sweep", config, seed, out_dir, rows,  # --seed: metadata only
                      {"cells": len(rows), "medians": medians, "failed_cells": failed},
                      passed=not failed)
     if out_dir is not None:
@@ -472,10 +470,9 @@ def cmd_sweep(config: dict, out_dir: str | None = None,
     return report
 
 
-def cmd_report(config: dict, out_dir: str | None = None,
-               seed: int | None = None) -> Report:
+@_command("report")
+def cmd_report(config: dict, out_dir: str | None = None, seed: int | None = None) -> Report:
     """Re-render a previous run directory in human-readable form."""
-    seed = None if seed is None else _integer(seed, "--seed")
     if out_dir is None:
         raise ConfigError("report requires --out pointing at a run directory")
     summary_path = os.path.join(out_dir, "summary.json")
@@ -503,17 +500,6 @@ def cmd_report(config: dict, out_dir: str | None = None,
                    passed=bool(payload.get("passed", True)))
 
 
-_COMMANDS = {
-    "synth-verify": cmd_synth_verify,
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "attribution": cmd_attribution,
-    "sweep": cmd_sweep,
-    "report": cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="crossfeat",
@@ -528,8 +514,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        out_dir = _path(config.get("out_dir"), "out_dir", optional=True)
-        report = _COMMANDS[args.command](config, out_dir=args.out or out_dir, seed=args.seed)
+        report = _COMMANDS[args.command](config, out_dir=args.out or config.get("out_dir"),
+                                         seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -107,8 +107,9 @@ def _is_int(value, minimum: int) -> bool:
 
 
 def _is_number(value) -> bool:
-    """Whether ``value`` is an int or a float; a bool or a string is not."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    """Whether ``value`` is a finite int or float; a bool, a string, NaN or inf is not."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
 
 
 def _require_number(name: str, value) -> None:

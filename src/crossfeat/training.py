@@ -150,12 +150,6 @@ class RunRecord:
     best_model: Classifier
     last_model: Classifier
 
-    def best_row(self) -> EpochRow | None:
-        return None if self.best_epoch is None else self.rows[self.best_epoch]
-
-    def last_row(self) -> EpochRow | None:
-        return self.rows[-1] if self.rows else None
-
     def outcome(self) -> dict:
         """Best against last: ``best_epoch``, ``ra_best``, ``ra_last``,
         ``cas_best`` and ``cas_last``, each None for a run with no epochs."""

@@ -25,10 +25,10 @@ import numpy as np
 import pytest
 
 from crossfeat.attack import AttackConfig, pgd
-from crossfeat.attribution import (attribution_vectors, cas,
-                                   class_attribution_matrix, instance_cas_matrix)
+from crossfeat.attribution import cas, class_attribution_matrix, instance_cas_matrix
 from crossfeat.data import Dataset, PlantedSpec, generate_planted
-from crossfeat.model import Classifier, CrossEntropy, Distillation, backward, forward
+from crossfeat.model import (Classifier, CrossEntropy, Distillation, backward, features,
+                             forward)
 from crossfeat.numerics import RngStream, cosine_similarity
 from crossfeat.synthetic import (LinearHypothesis, SyntheticParams, collapse_radius,
                                  frozen_linear_coefficients, linear_classifier,
@@ -282,7 +282,7 @@ class TestCriterion06:
         x = stream.split(2).generator.normal(size=(9, 7))
         logits = forward(model, x)
         for c in range(4):
-            sums = attribution_vectors(model, x, c).sum(axis=1)
+            sums = (features(model, x) * model.head.weights[c]).sum(axis=1)
             gap = float(np.abs(sums - logits[:, c]).max())
             if gap > 1e-10:
                 problems.append(f"attribution sum, class {c}: gap {gap:.2e}")
@@ -330,8 +330,8 @@ def grid():
         runs[key] = {
             "record": record,
             "secs": secs,
-            "best": record.best_row(),
-            "last": record.last_row(),
+            "best": record.rows[record.best_epoch],
+            "last": record.rows[-1],
         }
     return runs
 
@@ -433,7 +433,7 @@ class TestCriterion10:
 
         model, ds = self._toy(1011, classes=3, dim=6, per_class=5, widths=(5,))
         mat, score = instance_cas_matrix(model, ds)
-        vecs = {c: attribution_vectors(model, ds.inputs[ds.labels == c], c)
+        vecs = {c: features(model, ds.inputs[ds.labels == c]) * model.head.weights[c]
                 for c in range(3)}
         oracle = np.zeros((3, 3))
         for i in range(3):

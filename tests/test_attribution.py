@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from crossfeat.attack import AttackConfig, pgd
-from crossfeat.attribution import (attribution_vectors, cas,
-                                   class_attribution_matrix,
-                                   instance_cas_matrix, load_matrix,
-                                   matrix_diff, save_matrix)
+from crossfeat.attribution import (cas, class_attribution_matrix,
+                                   instance_cas_matrix, load_matrix, save_matrix)
 from crossfeat.data import Dataset
 from crossfeat.model import Affine, Classifier, features, forward
 from crossfeat.numerics import RngStream, unit_rows
@@ -35,22 +33,20 @@ def random_setup(seed=0, k=3, dim=5, n=12):
 
 
 class TestAttributionVector:
+    """The attribution vector ``features(model, x) * model.head.weights[i]``
+    that every attribution measure is built from."""
+
     def test_elementwise_product_with_head_row(self):
         model = linear([[1.0, 2.0], [0.5, -1.0]])
-        got = attribution_vectors(model, np.array([[3.0, -2.0]]), 0)
+        got = features(model, np.array([[3.0, -2.0]])) * model.head.weights[0]
         assert np.allclose(got, [[3.0, -4.0]], atol=1e-15)
 
     def test_entries_sum_to_logit(self):
         model, data = random_setup()
         logits = forward(model, data.inputs)
         for class_i in range(model.class_count):
-            sums = attribution_vectors(model, data.inputs, class_i).sum(axis=1)
+            sums = (features(model, data.inputs) * model.head.weights[class_i]).sum(axis=1)
             assert np.allclose(sums, logits[:, class_i], atol=1e-10)
-
-    def test_class_out_of_range(self):
-        model = linear([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="out of range"):
-            attribution_vectors(model, np.ones((1, 2)), 2)
 
 
 class TestClassAttributionMatrix:
@@ -248,19 +244,6 @@ class TestInstanceCas:
         data = dataset([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 0, 1], 2)
         matrix, _ = instance_cas_matrix(model, data)
         assert matrix[0, 1] != matrix[1, 0]
-
-
-class TestMatrixDiff:
-    def test_elementwise_difference_and_score_gap(self):
-        best = np.array([[1.0, 0.8], [0.8, 1.0]])
-        last = np.array([[1.0, 0.3], [0.3, 1.0]])
-        diff, gap = matrix_diff(best, last)
-        assert np.allclose(diff, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
-        assert gap == pytest.approx(1.0, abs=1e-15)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="shapes differ"):
-            matrix_diff(np.eye(2), np.eye(3))
 
 
 class TestSaveLoadMatrix:

@@ -315,14 +315,20 @@ class TestAttributionCmd:
         assert np.allclose(diff, 0.0)
         assert (tmp_path / "attr" / "instance_matrix.txt").exists()
 
-    def test_best_vs_last_reports_gap(self, run_dir):
+    def test_best_vs_last_reports_gap(self, run_dir, tmp_path):
         config = base_config(
             attribution={"checkpoint": f"{run_dir}/best.ckpt",
                          "checkpoint_last": f"{run_dir}/last.ckpt"})
-        report = cmd_attribution(config)
-        assert "delta_cas" in report.summary
+        out = str(tmp_path / "attr")
+        report = cmd_attribution(config, out_dir=out)
         assert len(report.records) == 2
         assert report.summary["clean_attribution"] is False
+        # The diff file and the gap are best minus last, elementwise and in CAS.
+        best, last, diff = (load_matrix(f"{out}/attribution_{name}.txt")[0]
+                            for name in ("matrix", "matrix_last", "diff"))
+        assert diff.tobytes() == (best - last).tobytes()
+        assert report.summary["delta_cas"] == cas(best) - cas(last)
+        assert [r["cas"] for r in report.records] == [cas(best), cas(last)]
 
     def test_zero_epsilon_switches_to_clean_attribution(self, run_dir):
         config = base_config(
@@ -719,12 +725,12 @@ class TestListSettings:
     would fail or walk a string's characters, and a string or a bool would
     fail in PGD or pass for a number."""
 
-    SWEEP = "sweep requires nonempty JSON lists epsilons, modes, and seeds"
-
     @pytest.mark.parametrize("command, keys, value, message", [
-        ("sweep", ("sweep", "epsilons"), 0.2, SWEEP),
-        ("sweep", ("sweep", "modes"), "at", SWEEP),
-        ("sweep", ("sweep", "seeds"), 3, SWEEP),
+        ("sweep", ("sweep", "epsilons"), 0.2, "sweep.epsilons: expected a JSON list of numbers"),
+        ("sweep", ("sweep", "modes"), "at", "sweep.modes: expected a JSON list of strings"),
+        ("sweep", ("sweep", "seeds"), 3, "sweep.seeds: expected a JSON list of integers"),
+        ("sweep", ("sweep", "epsilons"), [0.2, "0.4"], "sweep.epsilons: expected numbers, got '0.4'"),
+        ("sweep", ("sweep", "modes"), ["at", 1], "sweep.modes: expected strings, got 1"),
         ("train", ("train", "decay_fractions"), 0.5,
          "train.decay_fractions: expected a JSON list of numbers"),
         ("train", ("model", "hidden"), 8, "model.hidden: expected a JSON list of integers"),
@@ -885,6 +891,106 @@ class TestPathSettings:
                          "--out", str(tmp_path / "attribution")]) == 0
         assert (tmp_path / "attribution" / "attribution_matrix.txt").exists()
         assert not (tmp_path / "attribution" / "attribution_matrix_last.txt").exists()
+
+
+def _number_cases():
+    """One case per number key: (command, keys, place, message before
+    ", got <value>"), where ``place`` puts the value where the key takes it."""
+    def alone(value):
+        return value
+    cases = [("train", ("train", name), alone, f"train: {name} must be a number")
+             for name in ("lr", "decay_factor", "momentum", "weight_decay", "beta",
+                          "lambda_mix", "temperature")]
+    cases.append(("train", ("train", "decay_fractions"), lambda v: [0.5, v],
+                  "train: decay_fractions must be a number"))
+    cases += [("synth-verify", ("synthetic", name), alone, f"synthetic: {name} must be a number")
+              for name in ("mu", "sigma", "lam")]
+    cases += [("gen-data", ("data", "planted", name), alone,
+               f"data.planted: {name} must be a number") for name in ("mu", "sigma")]
+    for section in ("attack", "eval_attack"):
+        cases += [
+            ("train", (section, "epsilon"), alone, f"{section}: epsilon must be a non-negative number"),
+            ("train", (section, "step_size"), alone, f"{section}: step_size must be a positive number"),
+            ("train", (section, "input_bounds"), lambda v: [-1, v],
+             f"{section}: input_bounds must be two numbers lo < hi"),
+        ]
+    cases.append(("sweep", ("sweep", "epsilons"), lambda v: [0.2, v],
+                  "sweep.epsilons: expected numbers"))
+    return [pytest.param(*case, id=".".join(case[1])) for case in cases]
+
+
+class TestNonFiniteNumbers:
+    """JSON NaN, Infinity and -Infinity are not numbers to any key: each is a
+    config error naming its key, raised before anything trains or is written,
+    not a run that fails after its first step.  An input bound of null, not
+    an infinite one, means unbounded."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command, keys, place, prefix", _number_cases())
+    def test_exits_two_naming_the_key(self, tmp_path, capsys, command, keys, place, prefix,
+                                      value):
+        config = base_config(sweep={"epsilons": [0.2], "modes": ["at"], "seeds": [1]})
+        section = config
+        for key in keys[:-1]:
+            section = section.setdefault(key, {})
+        section[keys[-1]] = place(value)
+        path = write_config(tmp_path, config)
+        assert json.dumps(value) in (tmp_path / "config.json").read_text()  # JSON's own token
+        shown = (-1, value) if keys[-1] == "input_bounds" else value
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {prefix}, got {shown!r}\n"
+        assert not out.exists()
+
+
+def _rule_leaves(schema=cli._SCHEMA, keys=()):
+    for key, rule in schema.items():
+        if isinstance(rule, dict):
+            yield from _rule_leaves(rule, keys + (key,))
+        elif rule is not None:
+            yield keys + (key,)
+
+
+class TestSchemaRules:
+    """Each leaf of the schema that states a rule rejects a value of the
+    wrong type, naming its dotted key, so a new row cannot go unchecked.  The
+    whole config is checked at load and again by each command on entry."""
+
+    def test_the_leaves_are_the_keys_the_cli_checks(self):
+        assert {".".join(keys) for keys in _rule_leaves()} == {
+            "out_dir", "seed", "synthetic.mc_samples", "synthetic.oracle_steps",
+            "synthetic.seed", "data.planted.rotate", "data.planted.seed", "data.train_path",
+            "data.test_path", "data.format", "data.class_count", "model.hidden",
+            "model.hidden_bias", "model.head_bias", "train.decay_fractions",
+            "attack.random_start", "attack.input_bounds", "eval_attack.random_start",
+            "eval_attack.input_bounds", "attribution.checkpoint",
+            "attribution.checkpoint_last", "attribution.clean", "eval.checkpoint",
+            "sweep.epsilons", "sweep.modes", "sweep.seeds"}
+
+    @pytest.mark.parametrize("keys", list(_rule_leaves()), ids=".".join)
+    def test_a_value_of_the_wrong_type_exits_two(self, tmp_path, capsys, keys):
+        config = base_config()
+        section = config
+        for key in keys[:-1]:
+            section = section.setdefault(key, {})
+        section[keys[-1]] = {"wrong": "type"}
+        out = tmp_path / "out"
+        argv = ["train", "--config", write_config(tmp_path, config), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {'.'.join(keys)}: expected ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_command_checks_the_whole_config(self, tmp_path, command, monkeypatch):
+        # A key the command never reads is checked too.
+        for name in ("generate_planted", "load_checkpoint", "train", "train_many",
+                     "run_verification"):
+            monkeypatch.setattr(cli, name, None)
+        config = base_config(sweep={"epsilons": [0.2], "modes": ["at"], "seeds": 3})
+        with pytest.raises(ConfigError, match=r"^sweep\.seeds: expected a JSON list of integers$"):
+            cli._COMMANDS[command](config, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
 
 class TestMain:

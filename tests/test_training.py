@@ -217,8 +217,6 @@ class TestTrainLoop:
                 assert np.isfinite(getattr(r, name))
         ras = [r.test_robust_acc for r in record.rows]
         assert record.best_epoch == int(np.argmax(ras))
-        assert record.best_row() is record.rows[record.best_epoch]
-        assert record.last_row() is record.rows[-1]
 
     def test_same_seed_reproduces_run_exactly(self):
         train_set, test_set = tiny_data()
@@ -290,8 +288,6 @@ class TestTrainLoop:
         record = train(tiny_model(), train_set, test_set, tiny_cfg(epochs=0))
         assert record.rows == []
         assert record.best_epoch is None
-        assert record.best_row() is None
-        assert record.last_row() is None
 
     def test_out_dir_persists_checkpoints_and_records(self, tmp_path):
         train_set, test_set = tiny_data()
@@ -300,7 +296,7 @@ class TestTrainLoop:
                        tiny_cfg(out_dir=out))
         best_model, best_epoch, best_metrics = load_checkpoint(f"{out}/best.ckpt")
         assert best_epoch == record.best_epoch
-        assert best_metrics == asdict(record.best_row())
+        assert best_metrics == asdict(record.rows[record.best_epoch])
         last_model, last_epoch, _ = load_checkpoint(f"{out}/last.ckpt")
         assert last_epoch == len(record.rows) - 1
         x = test_set.inputs[:4]
