@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .model import Classifier, _row_blocks, features
+from .model import _BLOCK_ROWS, Classifier, _row_blocks, features
 from .numerics import as_array, unit_rows
 
 __all__ = [
@@ -88,15 +88,27 @@ def instance_cas_matrix(model: Classifier, dataset: Dataset,
     entry[i, j] = mean over class-i samples of the maximum cosine between
     that sample's attribution vector (at head row i) and any class-j
     sample's attribution vector (at head row j).  The search is exhaustive
-    but runs over 256-row blocks of class i, so the largest temporary is one
-    256 x n_j cosine block, not the n_i x n_j matrix.  Returns the
-    (generally asymmetric) matrix and the score sum_{i != j} max(entry, 0).
+    but runs over 256-row blocks of class i, each written into one reused
+    256 x max(n_j) buffer, not the n_i x n_j matrix.  Row maxima are clipped
+    to [-1, 1] before the mean, as C is.  Returns the (generally asymmetric)
+    matrix and the score sum_{i != j} max(entry, 0).
     """
     feats, class_rows = _class_features(model, dataset, points)
     units = [unit_rows(feats[rows] * w) for rows, w in zip(class_rows, model.head.weights)]
-    entries = np.array([[np.concatenate([(ui[rows] @ uj.T).max(axis=1)
-                                         for rows in _row_blocks(len(ui))]).mean()
-                         for uj in units] for ui in units])
+    del feats  # the search reads only the unit rows
+    largest = max(len(u) for u in units)
+    buffer = np.empty(min(largest, _BLOCK_ROWS) * largest)  # every block's product
+    entries = np.empty((len(units), len(units)))
+    for i, ui in enumerate(units):
+        maxima = np.empty(len(ui))
+        for j, uj in enumerate(units):
+            for rows in _row_blocks(len(ui)):
+                block = ui[rows]
+                cosines = buffer[:len(block) * len(uj)].reshape(len(block), len(uj))
+                np.matmul(block, uj.T, out=cosines)
+                np.max(cosines, axis=1, out=maxima[rows])
+            # Unit rows can meet at a cosine an ulp above 1.
+            entries[i, j] = np.clip(maxima, -1.0, 1.0).mean()
     return entries, cas(entries)
 
 

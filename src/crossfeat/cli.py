@@ -118,17 +118,23 @@ _SCHEMA = {
 }
 
 
+# The sections whose null means none: no attack, or no planted data.  Any
+# other null section would reach its reader as None.
+_NULL_MEANS_NONE = frozenset({"attack", "eval_attack", "data.planted"})
+
+
 def _check(config, schema: dict = _SCHEMA, path: str = "") -> None:
     """Walk ``config`` and ``schema`` together; raise naming the first key at fault."""
     if not isinstance(config, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object, got {type(config).__name__}")
+        found = "null" if config is None else type(config).__name__
+        raise ConfigError(f"{path or 'config'}: expected an object, got {found}")
     for key, value in config.items():
         location = f"{path}.{key}" if path else key
         if key not in schema:
             raise ConfigError(f"unknown config key {location!r}")
         rule = schema[key]
         if isinstance(rule, dict):
-            if value is not None:  # a null section means none
+            if value is not None or location not in _NULL_MEANS_NONE:
                 _check(value, rule, location)
         elif rule is not None and (fault := rule(value)):
             raise ConfigError(f"{location}: {fault}")
@@ -374,12 +380,19 @@ def cmd_attribution(config: dict, out_dir: str | None = None, seed: int | None =
     models = [load_checkpoint(path)[0] for path in paths]
     if models[-1].class_count != models[0].class_count:
         raise ConfigError("attribution: checkpoints have different class counts")
-    records, matrices = [], {}
-    for path, model, suffix in zip(paths, models, ("", "_last")):
+    # Every checkpoint's attacked pass and class matrix come before any
+    # instance-CAS product.  Those products are the only ones large enough for
+    # OpenBLAS to thread, and its helper thread spins on through the work that
+    # follows them.
+    passes = []
+    for model in models:
         # One attacked pass: robust accuracy, CAS and ICAS describe the same points.
         metrics, points = evaluate(model, test_set, None if clean else attack,
                                    RngStream(run_seed).split(7))
-        matrix = class_attribution_matrix(model, test_set, points)
+        passes.append((metrics, points, class_attribution_matrix(model, test_set, points)))
+    records, matrices = [], {}
+    for path, model, (metrics, points, matrix), suffix in zip(paths, models, passes,
+                                                              ("", "_last")):
         icas_matrix, icas = instance_cas_matrix(model, test_set, points)
         matrices[f"attribution_matrix{suffix}.txt"] = matrix
         matrices[f"instance_matrix{suffix}.txt"] = icas_matrix

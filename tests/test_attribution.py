@@ -10,7 +10,7 @@ from crossfeat.attack import AttackConfig, pgd
 from crossfeat.attribution import (cas, class_attribution_matrix,
                                    instance_cas_matrix, load_matrix, save_matrix)
 from crossfeat.data import Dataset
-from crossfeat.model import Affine, Classifier, features, forward
+from crossfeat.model import Affine, Classifier, _row_blocks, features, forward
 from crossfeat.numerics import RngStream, unit_rows
 
 INV_SQRT2 = 0.7071067811865476
@@ -223,6 +223,37 @@ class TestInstanceCas:
                              for ui in units])
         assert np.array_equal(matrix, expected)
         assert score == cas(expected)
+
+    def test_reused_buffer_matches_a_fresh_product_per_block(self):
+        # Classes below, at, just past and well past the 256-row block; the
+        # 256 x 32 @ 32 x 700 products are large enough for OpenBLAS to thread.
+        sizes = (1, 255, 256, 257, 700)
+        k = len(sizes)
+        gen = RngStream(5, stream_id=90).generator
+        labels = np.repeat(np.arange(k), sizes)
+        gen.shuffle(labels)
+        data = Dataset(gen.normal(size=(len(labels), 10)), labels, k)
+        model = Classifier.create(10, (32,), k, RngStream(5, stream_id=91))
+        matrix, score = instance_cas_matrix(model, data)
+        feats = features(model, data.inputs)
+        units = [unit_rows(feats[data.class_indices(c)] * model.head.weights[c])
+                 for c in range(k)]
+        # One newly allocated product per block, then the clip.
+        expected = np.array([[np.clip(np.concatenate([(ui[rows] @ uj.T).max(axis=1)
+                                                      for rows in _row_blocks(len(ui))]),
+                                      -1.0, 1.0).mean()
+                              for uj in units] for ui in units])
+        assert np.array_equal(matrix, expected)
+        assert score == cas(expected)
+
+    def test_no_entry_exceeds_one(self):
+        # Unit rows can meet at a cosine one ulp above 1: unclipped, entry
+        # [0, 0] here read 1.0000000000000002.
+        model = Classifier.create(6, (8,), 3, RngStream(0))
+        data = Dataset(np.random.default_rng(0).standard_normal((3, 6)), [0, 1, 2], 3)
+        matrix, _ = instance_cas_matrix(model, data)
+        assert matrix[0, 0] == 1.0
+        assert np.all((matrix >= -1.0) & (matrix <= 1.0))
 
     def test_memory_stays_below_one_full_cosine_matrix(self):
         # One unblocked 2,000 x 2,000 cosine matrix alone is 30.5 MiB.

@@ -254,6 +254,41 @@ class TestTrainingBytes:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+class TestAttributionBytes:
+    """``crossfeat attribution`` on the best and the last checkpoint of
+    ``TestTrainingBytes``' run, which differ, writes the bytes it wrote
+    before the instance-CAS products moved behind every attacked pass.  The
+    paths are relative, since records and the config hash hold them."""
+
+    DIGESTS = {
+        "records.jsonl": "895212f4374bd747f30eddf1f63e58ad9569fbfb856b3f99505cc24bd87749cb",
+        "summary.json": "d1b06d6bc6abb848080fb57f5a10222f9d6c50c18912a21fcce0e7ae3ac0ac71",
+        "attribution_matrix.txt":
+            "d185c1d153075ae673557e377d5534d7bcef1ccc7e7e561b6a3da0c8dda2f83c",
+        "attribution_matrix_last.txt":
+            "777ca4578b47e5b1da2d7ff9f243f40689c11c106ccf144c43f8db466b6820c7",
+        "attribution_diff.txt":
+            "fb2aacf4bff265e28231f4eb520b83a369cdf9fd816a87a29f78b7b333af78a2",
+        "instance_matrix.txt":
+            "21fbadf0f2b62f68235e9e1e8ff25156ead60ddf7a9adb391b30861c2997a145",
+        "instance_matrix_last.txt":
+            "e7b87c85c284a8e654647ef3d8fc80d2ed491895ca8c0146494a011147ebd8c1",
+    }
+
+    def test_outputs_match_recorded_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = TestTrainingBytes.CONFIG
+        assert cli.main(["train", "--config", write_config(tmp_path, config),
+                         "--out", "run"]) == 0
+        config = dict(config, attribution={"checkpoint": "run/best.ckpt",
+                                           "checkpoint_last": "run/last.ckpt"})
+        assert cli.main(["attribution", "--config", write_config(tmp_path, config),
+                         "--out", "attr"]) == 0
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((tmp_path / "attr" / name).read_bytes()).hexdigest() \
+                == digest, name
+
+
 class TestEvalCmd:
     def test_evaluates_checkpoint(self, tmp_path):
         out = str(tmp_path / "run")
@@ -360,6 +395,31 @@ class TestAttributionCmd:
         assert report.summary["robust_acc"] == metrics["robust_acc"]
         assert report.summary["cas"] == cas(matrix)
         assert report.summary["icas"] == icas
+
+    @pytest.mark.parametrize("last, clean", [(False, False), (True, False), (True, True)],
+                             ids=["one", "two", "two-clean"])
+    def test_instance_products_come_after_every_pass(self, run_dir, tmp_path, monkeypatch,
+                                                     last, clean):
+        # OpenBLAS threads only the instance-CAS products, and its helper
+        # thread would spin through any attack that followed them.
+        calls = []
+
+        def spy(name):
+            real = getattr(cli, name)
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for name in ("evaluate", "class_attribution_matrix", "instance_cas_matrix",
+                     "save_matrix"):
+            monkeypatch.setattr(cli, name, spy(name))
+        section = {"checkpoint": f"{run_dir}/best.ckpt", "clean": clean}
+        if last:
+            section["checkpoint_last"] = f"{run_dir}/last.ckpt"
+        report = cmd_attribution(base_config(attribution=section),
+                                 out_dir=str(tmp_path / "attr"))
+        assert report.summary["clean_attribution"] is clean
+        n = 1 + last
+        assert calls == (["evaluate", "class_attribution_matrix"] * n
+                         + ["instance_cas_matrix"] * n + ["save_matrix"] * (3 * n - 1))
 
     def test_requires_checkpoint(self):
         with pytest.raises(ConfigError, match="checkpoint"):
@@ -891,6 +951,37 @@ class TestPathSettings:
                          "--out", str(tmp_path / "attribution")]) == 0
         assert (tmp_path / "attribution" / "attribution_matrix.txt").exists()
         assert not (tmp_path / "attribution" / "attribution_matrix_last.txt").exists()
+
+
+class TestNullSections:
+    """Null means none only for ``attack``, ``eval_attack`` and
+    ``data.planted``.  Any other null section exits 2 naming it, before
+    anything is written, not 1 in Python's words where it is read."""
+
+    @pytest.mark.parametrize("command, section", [
+        ("synth-verify", "synthetic"), ("train", "data"), ("train", "model"),
+        ("train", "train"), ("attribution", "attribution"), ("eval", "eval"),
+        ("sweep", "sweep")])
+    def test_exits_two_naming_the_section(self, tmp_path, capsys, command, section):
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, base_config(**{section: None})),
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {section}: expected an object, got null\n")
+        assert not out.exists()
+
+    def test_a_null_attack_means_none(self):
+        absent = base_config()
+        del absent["attack"]
+        assert (cmd_train(base_config(attack=None, eval_attack=None)).records
+                == cmd_train(absent).records)
+
+    def test_null_planted_data_means_none(self):
+        config = base_config()
+        config["data"]["planted"] = None
+        with pytest.raises(ConfigError, match="need either data.planted"):
+            cmd_train(config)
 
 
 def _number_cases():
