@@ -216,8 +216,13 @@ def _datasets_from(config: dict, train: bool = True) -> tuple[Dataset | None, Da
         raise ConfigError("data: need either data.planted or train_path + test_path")
     fmt = data.get("format", "delimited-text")
     count = data.get("class_count")  # null: raw-matrix infers it, delimited-text reads its header
-    return (load_tabular(data["train_path"], fmt, count) if train else None,
-            load_tabular(data["test_path"], fmt, count))
+    train_set = load_tabular(data["train_path"], fmt, count) if train else None
+    test_set = load_tabular(data["test_path"], fmt, count)
+    if train_set is not None and train_set.class_count != test_set.class_count:
+        raise ConfigError(f"data: train_path has {train_set.class_count} classes and "
+                          f"test_path {test_set.class_count}; they must agree "
+                          f"(data.class_count)")
+    return train_set, test_set
 
 
 def _training_job(config: dict, seed: int, out_dir: str | None,
@@ -360,6 +365,9 @@ def cmd_eval(config: dict, out_dir: str | None = None, seed: int | None = None) 
     run_seed = config.get("seed", 0) if seed is None else seed
     model, epoch, _ = load_checkpoint(path)
     test_set = _datasets_from(config, train=False)[1]
+    if model.class_count != test_set.class_count:
+        raise ConfigError(f"eval: the checkpoint has {model.class_count} classes and the "
+                          f"test data {test_set.class_count} (data.class_count)")
     attack = _attack_from(config)
     metrics, _ = evaluate(model, test_set, attack, RngStream(run_seed))
     return _report("eval", config, run_seed, out_dir,
@@ -380,6 +388,9 @@ def cmd_attribution(config: dict, out_dir: str | None = None, seed: int | None =
     models = [load_checkpoint(path)[0] for path in paths]
     if models[-1].class_count != models[0].class_count:
         raise ConfigError("attribution: checkpoints have different class counts")
+    if models[0].class_count != test_set.class_count:
+        raise ConfigError(f"attribution: the checkpoints have {models[0].class_count} classes "
+                          f"and the test data {test_set.class_count} (data.class_count)")
     # Every checkpoint's attacked pass and class matrix come before any
     # instance-CAS product.  Those products are the only ones large enough for
     # OpenBLAS to thread, and its helper thread spins on through the work that

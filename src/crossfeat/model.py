@@ -29,7 +29,7 @@ from .numerics import RngStream, _is_int, _row_reduce, as_array
 
 __all__ = ["Affine", "Classifier", "CrossEntropy", "Distillation", "GradientBundle",
            "backward", "forward", "features", "load_checkpoint", "log_softmax",
-           "save_checkpoint", "sgd_step", "softmax"]
+           "save_checkpoint", "sgd_step"]
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -85,10 +85,6 @@ class Classifier:
     @property
     def class_count(self) -> int:
         return self.head.weights.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.head.weights.shape[1]
 
     @classmethod
     def create(
@@ -247,10 +243,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(_row_reduce(np.add, np.exp(z)))[:, None]
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
-
-
 def _check_labels(y, batch: int, classes: int) -> np.ndarray:
     labels = np.asarray(y)
     if labels.shape != (batch,):
@@ -316,7 +308,7 @@ def _loss_and_logit_grad(spec: LossSpec, logits: np.ndarray, labels: np.ndarray,
     teacher_logits, teacher_acts = _forward_cached(spec.teacher, x)
     if teacher_logits.shape != logits.shape:
         raise ValueError("teacher and student class counts differ")
-    q_t = softmax(teacher_logits / temp)
+    q_t = np.exp(log_softmax(teacher_logits / temp))
     log_q_s = log_softmax(logits / temp)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_q_t = np.where(q_t > 0.0, np.log(q_t), 0.0)

@@ -10,7 +10,8 @@ Conventions
   (Philox) addressed by ``(seed, stream_id)``.  Reconstructing a stream from
   the same pair replays the same sequence on any platform; ``split`` derives
   independent child streams so concurrent consumers never share state.
-* Cosine similarity of a zero vector with anything is defined as ``0.0``.
+* A cosine is ``unit_rows(A) @ unit_rows(B).T``: a zero row's cosine with
+  anything is ``0.0``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 __all__ = [
     "RngStream",
     "as_array",
-    "cosine_similarity",
     "std_normal_cdf",
     "unit_rows",
 ]
@@ -304,40 +304,19 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
 
 
-def _pow2_scaled(arr: np.ndarray, axis: int | None = None) -> np.ndarray:
-    # Divides by the power of two just above the largest |entry| (per slice
-    # along ``axis``), so squared norms neither underflow nor overflow.  The
-    # scaling is exact, so results that stayed in the normal range before
-    # are bit-identical.
-    _, exponent = np.frexp(np.abs(arr).max(axis=axis, keepdims=True, initial=0.0))
-    return np.ldexp(arr, -exponent)
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors; 0.0 if either has zero norm."""
-    va = as_array(a, name="a").ravel()
-    vb = as_array(b, name="b").ravel()
-    if va.shape != vb.shape:
-        raise ValueError(f"shape mismatch: {va.shape} vs {vb.shape}")
-    va, vb = _pow2_scaled(va), _pow2_scaled(vb)
-    na = math.sqrt(float(va @ va))
-    nb = math.sqrt(float(vb @ vb))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(va @ vb) / (na * nb)
-
-
 def unit_rows(matrix) -> np.ndarray:
     """Normalize each row to unit length; zero rows stay zero.
 
-    Batched counterpart of :func:`cosine_similarity`: for matrices ``A`` and
-    ``B``, ``unit_rows(A) @ unit_rows(B).T`` is the pairwise cosine matrix
-    under the same zero-norm convention.
+    For matrices ``A`` and ``B``, ``unit_rows(A) @ unit_rows(B).T`` is the
+    pairwise cosine matrix, 0.0 wherever either row is zero.
     """
     mat = as_array(matrix, name="matrix")
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {mat.shape}")
-    mat = _pow2_scaled(mat, axis=1)
+    # Dividing each row by the power of two just above its largest |entry| is
+    # exact and keeps its squared norm from underflowing or overflowing.
+    _, exponent = np.frexp(np.abs(mat).max(axis=1, keepdims=True, initial=0.0))
+    mat = np.ldexp(mat, -exponent)
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
     return mat / safe

@@ -359,29 +359,17 @@ def _train_copy(model: Classifier, cfg: TrainConfig, train_set: Dataset,
     return train(model.copy(), train_set, test_set, cfg)
 
 
-def detect_collapse(rows: list[EpochRow], rise: float = 0.2,
-                    floor: float = 0.05) -> dict:
-    """Flag the robust-accuracy collapse signature of fast adversarial
-    training: test robust accuracy exceeded ``rise`` at some epoch and later
-    fell below ``floor``.
-
-    Returns occurrence, the peak epoch, the first collapsed epoch, and the
-    attribution-similarity comparison between the best epoch and the end.
-    """
-    exceeded_epoch = None
-    collapse_epoch = None
+def detect_collapse(rows: list[EpochRow]) -> dict:
+    """The robust-accuracy collapse of fast adversarial training: test robust
+    accuracy rose above 0.2, first at ``peak_epoch``, and later fell below
+    0.05, first at ``collapse_epoch``; ``occurred`` says whether it did."""
+    peak_epoch = collapse_epoch = None
     for row in rows:
-        if exceeded_epoch is None:
-            if row.test_robust_acc > rise:
-                exceeded_epoch = row.epoch
-        elif row.test_robust_acc < floor:
+        if peak_epoch is None:
+            if row.test_robust_acc > 0.2:
+                peak_epoch = row.epoch
+        elif row.test_robust_acc < 0.05:
             collapse_epoch = row.epoch
             break
-    result = {"occurred": collapse_epoch is not None, "peak_epoch": exceeded_epoch,
-              "collapse_epoch": collapse_epoch}
-    if rows:
-        best = max(rows, key=lambda r: (r.test_robust_acc, -r.epoch))
-        result["cas_best"] = best.cas
-        result["cas_after"] = rows[-1].cas
-        result["cas_dropped"] = rows[-1].cas < best.cas
-    return result
+    return {"occurred": collapse_epoch is not None, "peak_epoch": peak_epoch,
+            "collapse_epoch": collapse_epoch}

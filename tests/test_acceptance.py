@@ -29,7 +29,7 @@ from crossfeat.attribution import cas, class_attribution_matrix, instance_cas_ma
 from crossfeat.data import Dataset, PlantedSpec, generate_planted
 from crossfeat.model import (Classifier, CrossEntropy, Distillation, backward, features,
                              forward)
-from crossfeat.numerics import RngStream, cosine_similarity
+from crossfeat.numerics import RngStream
 from crossfeat.synthetic import (LinearHypothesis, SyntheticParams, collapse_radius,
                                  frozen_linear_coefficients, linear_classifier,
                                  margin_loss, max_gauss_mean_mc,
@@ -394,6 +394,14 @@ class TestCriterion09:
 # ---------------------------------------------------------------------------
 
 
+def _cosine(a, b) -> float:
+    """The oracle's own cosine, in Python floats: 0.0 if either vector is zero."""
+    norm_a, norm_b = math.hypot(*a), math.hypot(*b)
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return math.fsum(x * y for x, y in zip(a, b, strict=True)) / (norm_a * norm_b)
+
+
 class TestCriterion10:
     @staticmethod
     def _toy(seed: int, classes: int, dim: int, per_class: int,
@@ -440,8 +448,7 @@ class TestCriterion10:
             for j in range(3):
                 per_sample = []
                 for a in vecs[i]:
-                    per_sample.append(max(cosine_similarity(a, b)
-                                          for b in vecs[j]))
+                    per_sample.append(max(_cosine(a, b) for b in vecs[j]))
                 oracle[i, j] = float(np.mean(per_sample))
         gap = float(np.abs(mat - oracle).max())
         if gap > 1e-12:
@@ -481,7 +488,8 @@ class TestCriterion11:
             problems.append(f"detector disagrees with trajectory: {info}")
         if info["peak_epoch"] != exceeded or info["collapse_epoch"] != collapsed:
             problems.append(f"detector epochs {info} vs ({exceeded}, {collapsed})")
-        if info["occurred"] and not info["cas_after"] < info["cas_best"]:
+        outcome = record.outcome()
+        if info["occurred"] and not outcome["cas_last"] < outcome["cas_best"]:
             problems.append("collapse flagged but similarity did not drop")
         # Detection itself must be correct when the signature does occur:
         # a constructed trajectory that rises past 0.2 and falls below 0.05.
@@ -491,8 +499,7 @@ class TestCriterion11:
                          test_clean_acc=0.9, test_robust_acc=ra, cas=c)
                 for e, (ra, c) in enumerate(path)]
         finfo = detect_collapse(fake)
-        expected = {"occurred": True, "peak_epoch": 1, "collapse_epoch": 4,
-                    "cas_best": 1.9, "cas_after": 0.4, "cas_dropped": True}
+        expected = {"occurred": True, "peak_epoch": 1, "collapse_epoch": 4}
         if finfo != expected:
             problems.append(f"constructed signature misreported: {finfo}")
         occurred = "occurred" if info["occurred"] else "did not occur"

@@ -9,8 +9,7 @@ import pytest
 import crossfeat.model
 from crossfeat.model import (Affine, Classifier, CrossEntropy, Distillation,
                              _input_gradient, backward, features, forward,
-                             load_checkpoint, log_softmax, save_checkpoint, sgd_step,
-                             softmax)
+                             load_checkpoint, log_softmax, save_checkpoint, sgd_step)
 from crossfeat.numerics import RngStream
 
 
@@ -61,7 +60,7 @@ class TestClassifierStructure:
     def test_shape_properties(self):
         model = tiny_model(input_dim=7, widths=(5, 4), classes=3)
         assert model.input_dim == 7
-        assert model.feature_dim == 4
+        assert model.head.weights.shape[1] == 4
         assert model.class_count == 3
 
     def test_linear_model_features_are_identity(self):
@@ -107,7 +106,7 @@ class TestForward:
         model = tiny_model(widths=(6, 4))
         x, _ = tiny_batch(model)
         h = features(model, x)
-        assert h.shape == (x.shape[0], model.feature_dim)
+        assert h.shape == (x.shape[0], model.head.weights.shape[1])
         assert np.allclose(forward(model, x), model.head.apply(h))
 
     def test_rejects_wrong_input_rank_and_dim(self):
@@ -132,20 +131,20 @@ class TestForward:
         model = tiny_model(widths=(6, 4))
         empty = np.zeros((0, model.input_dim))
         assert forward(model, empty).shape == (0, model.class_count)
-        assert features(model, empty).shape == (0, model.feature_dim)
+        assert features(model, empty).shape == (0, model.head.weights.shape[1])
 
 
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         gen = RngStream(2, stream_id=92).generator
         logits = gen.normal(size=(8, 5)) * 3.0
-        assert np.allclose(softmax(logits).sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.exp(log_softmax(logits)).sum(axis=1), 1.0, atol=1e-12)
 
     def test_stable_at_extreme_logits(self):
         logits = np.array([[1000.0, 0.0, -1000.0]])
         lp = log_softmax(logits)
         assert np.all(np.isfinite(lp))
-        p = softmax(logits)
+        p = np.exp(log_softmax(logits))
         assert np.isclose(p.sum(), 1.0)
         assert p[0, 0] == pytest.approx(1.0)
 

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crossfeat.numerics
-from crossfeat.numerics import (RngStream, _row_reduce, _run_jobs, as_array,
-                                cosine_similarity, std_normal_cdf, unit_rows)
+from crossfeat.numerics import (RngStream, _row_reduce, _run_jobs, as_array, std_normal_cdf,
+                                unit_rows)
 
 # Reference values computed with mpmath.ncdf at 20 significant digits.
 PHI_TABLE = {
@@ -98,20 +98,26 @@ class TestAsArray:
             as_array([1.0, float("inf")])
 
 
+def cosines(a, b) -> np.ndarray:
+    """The library's pairwise cosine matrix of the rows of ``a`` and ``b``."""
+    return unit_rows(np.atleast_2d(a)) @ unit_rows(np.atleast_2d(b)).T
+
+
 class TestCosineSimilarity:
     def test_parallel_and_orthogonal(self):
-        assert cosine_similarity([1.0, 0.0], [2.0, 0.0]) == pytest.approx(1.0)
-        assert cosine_similarity([1.0, 0.0], [0.0, 5.0]) == pytest.approx(0.0)
-        assert cosine_similarity([1.0, 1.0], [-1.0, -1.0]) == pytest.approx(-1.0)
+        got = cosines([[1.0, 0.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 5.0], [-1.0, -1.0]])
+        assert got[0, 0] == pytest.approx(1.0)
+        assert got[0, 1] == pytest.approx(0.0)
+        assert got[1, 2] == pytest.approx(-1.0)
 
     def test_known_value(self):
         # cos between (1,0) and (1,1) = 1/sqrt(2).
-        assert cosine_similarity([1.0, 0.0], [1.0, 1.0]) == pytest.approx(
+        assert cosines([1.0, 0.0], [1.0, 1.0])[0, 0] == pytest.approx(
             0.7071067811865476, abs=1e-12)
 
     def test_zero_vector_convention(self):
-        assert cosine_similarity([0.0, 0.0], [1.0, 2.0]) == 0.0
-        assert cosine_similarity([0.0, 0.0], [0.0, 0.0]) == 0.0
+        assert cosines([0.0, 0.0], [1.0, 2.0])[0, 0] == 0.0
+        assert cosines([0.0, 0.0], [0.0, 0.0])[0, 0] == 0.0
 
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=3, max_size=3),
            st.lists(st.floats(min_value=-10, max_value=10), min_size=3, max_size=3))
@@ -119,13 +125,13 @@ class TestCosineSimilarity:
     # The squared norm of v underflows; unscaled, the cosine was 1.0000000037.
     @example([1.0, 1.0, 0.0], [7.8e-159, 7.8e-159, 0.0])
     def test_bounded(self, u, v):
-        assert -1.0 - 1e-12 <= cosine_similarity(u, v) <= 1.0 + 1e-12
+        assert -1.0 - 1e-12 <= cosines(u, v)[0, 0] <= 1.0 + 1e-12
 
     def test_scale_invariance(self):
         u, v = np.array([0.3, -1.2, 2.0]), np.array([1.0, 0.4, -0.7])
-        base = cosine_similarity(u, v)
-        assert cosine_similarity(3.5 * u, v) == pytest.approx(base, abs=1e-12)
-        assert cosine_similarity(u, 0.02 * v) == pytest.approx(base, abs=1e-12)
+        base = cosines(u, v)[0, 0]
+        assert cosines(3.5 * u, v)[0, 0] == pytest.approx(base, abs=1e-12)
+        assert cosines(u, 0.02 * v)[0, 0] == pytest.approx(base, abs=1e-12)
 
 
 class TestUnitRows:

@@ -70,3 +70,47 @@ def test_only_numerics_holds_worker_state_or_counts_cpus():
                 or any(isinstance(node, ast.Global) for node in ast.walk(ast.parse(source)))):
             found.add(name)
     assert found == {"numerics"}
+
+
+SOURCE = os.path.dirname(os.path.abspath(crossfeat.__file__))
+TRACER = os.path.join(os.path.dirname(os.path.dirname(SOURCE)), "perfbench", "tracer.py")
+# The bridge from the synthetic theory to trained models (ROADMAP item 9) is
+# public before anything in the package calls it.
+NOT_YET_CALLED = {"synthetic.linear_classifier"}
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # A public name that only tests reach is API kept for them; the package
+    # says the same with the names it does call.
+    uses = set()  # (module, name) loaded somewhere outside the name's own definition
+    for module in MODULES:
+        tree = _parse(os.path.join(SOURCE, f"{module}.py"))
+        origin = {alias.asname or alias.name: (node.module, alias.name)
+                  for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        for statement in tree.body:
+            owner = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used = origin.get(node.id, (module, node.id))
+                    if used != (module, owner):
+                        uses.add(used)
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in MODULES):  # numerics._held, say
+                    uses.add((node.value.id, node.attr))
+    traced = next(ast.literal_eval(node.value) for node in _parse(TRACER).body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "TRACED")
+    cli = importlib.import_module("crossfeat.cli")
+    commands = {run.__name__ for run in cli._COMMANDS.values()}
+    unused = [f"{module}.{name}" for module in MODULES
+              for name in importlib.import_module(f"crossfeat.{module}").__all__
+              if (module, name) not in uses and name not in traced.get(module, ())
+              and f"{module}.{name}" not in NOT_YET_CALLED
+              and not (module == "cli" and name in commands)]
+    assert unused == []

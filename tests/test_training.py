@@ -550,14 +550,12 @@ class TestDetectCollapse:
 
     def test_rise_then_fall_is_flagged(self):
         ras = [0.1, 0.25, 0.5, 0.3, 0.04, 0.02]
-        rows = [row(i, ra, cas_value=1.0 - 0.1 * i) for i, ra in enumerate(ras)]
+        rows = [row(i, ra) for i, ra in enumerate(ras)]
         got = detect_collapse(rows)
+        assert set(got) == {"occurred", "peak_epoch", "collapse_epoch"}
         assert got["occurred"] is True
-        assert got["peak_epoch"] == 1  # first epoch above the rise threshold
-        assert got["collapse_epoch"] == 4  # first epoch back below the floor
-        assert got["cas_dropped"] is True
-        assert got["cas_best"] == rows[2].cas
-        assert got["cas_after"] == rows[-1].cas
+        assert got["peak_epoch"] == 1  # first epoch above 0.2
+        assert got["collapse_epoch"] == 4  # first epoch back below 0.05
 
     def test_rise_without_fall_is_not_flagged(self):
         rows = [row(i, 0.1 + 0.1 * i) for i in range(6)]
@@ -569,14 +567,6 @@ class TestDetectCollapse:
     def test_low_from_the_start_is_not_a_collapse(self):
         rows = [row(i, 0.01) for i in range(4)]
         assert detect_collapse(rows)["occurred"] is False
-
-    def test_custom_thresholds(self):
-        ras = [0.5, 0.8, 0.45]
-        rows = [row(i, ra) for i, ra in enumerate(ras)]
-        got = detect_collapse(rows, rise=0.7, floor=0.46)
-        assert got["occurred"] is True
-        assert got["peak_epoch"] == 1
-        assert got["collapse_epoch"] == 2
 
     def test_empty_rows(self):
         got = detect_collapse([])
