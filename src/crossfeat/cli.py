@@ -33,8 +33,8 @@ from .data import _FORMATS, Dataset, PlantedSpec, generate_planted, load_tabular
 from .model import Classifier, load_checkpoint
 from .numerics import _MASK64, RngStream, _is_int, _is_number
 from .synthetic import SyntheticParams, run_verification
-from .training import (TrainConfig, detect_collapse, evaluate, save_records, train,
-                       train_many)
+from .training import (TrainConfig, _measuring_attack, detect_collapse, evaluate,
+                       save_records, train, train_many)
 
 __all__ = ["ConfigError", "Report", "cmd_attribution", "cmd_eval",
            "cmd_gen_data", "cmd_report", "cmd_sweep", "cmd_synth_verify",
@@ -368,7 +368,7 @@ def cmd_eval(config: dict, out_dir: str | None = None, seed: int | None = None) 
     if model.class_count != test_set.class_count:
         raise ConfigError(f"eval: the checkpoint has {model.class_count} classes and the "
                           f"test data {test_set.class_count} (data.class_count)")
-    attack = _attack_from(config)
+    attack = _measuring_attack(_attack_from(config), _attack_from(config, "eval_attack"))
     metrics, _ = evaluate(model, test_set, attack, RngStream(run_seed))
     return _report("eval", config, run_seed, out_dir,
                    [{"checkpoint": path, "epoch": epoch, **metrics}],
@@ -383,7 +383,7 @@ def cmd_attribution(config: dict, out_dir: str | None = None, seed: int | None =
     paths = [p for p in (section["checkpoint"], section.get("checkpoint_last")) if p is not None]
     run_seed = config.get("seed", 0) if seed is None else seed
     test_set = _datasets_from(config, train=False)[1]
-    attack = _attack_from(config)
+    attack = _measuring_attack(_attack_from(config), _attack_from(config, "eval_attack"))
     clean = section.get("clean", False) or attack is None or attack.epsilon == 0.0
     models = [load_checkpoint(path)[0] for path in paths]
     if models[-1].class_count != models[0].class_count:
@@ -471,7 +471,7 @@ def cmd_sweep(config: dict, out_dir: str | None = None, seed: int | None = None)
         if out_dir is not None:
             cell_dir = os.path.join(out_dir, "cells", _cell_name(eps, mode, cell_seed))
         cell_config = json.loads(json.dumps(config))
-        cell_config.setdefault("attack", {})["epsilon"] = eps
+        cell_config["attack"] = dict(cell_config.get("attack") or {}, epsilon=eps)
         cell_config.setdefault("train", {})["mode"] = mode
         jobs.append(_training_job(cell_config, cell_seed, cell_dir, train_set))
     results = train_many(jobs, train_set, test_set)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -105,7 +105,6 @@ class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
     class_count: int
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.inputs = as_array(self.inputs, name="inputs")
@@ -132,7 +131,7 @@ class Dataset:
 
 
 def _planted_split(spec: PlantedSpec, per_class: int, rng: RngStream,
-                   rotation: np.ndarray | None, split: str) -> Dataset:
+                   rotation: np.ndarray | None) -> Dataset:
     k, r = spec.classes, spec.replication
     n = per_class * k
     inputs = np.zeros((n, spec.total_dim))
@@ -154,12 +153,7 @@ def _planted_split(spec: PlantedSpec, per_class: int, rng: RngStream,
     if rotation is not None:
         inputs = inputs @ rotation
     order = rng.split(1).generator.permutation(n)
-    return Dataset(
-        inputs[order],
-        labels[order],
-        k,
-        metadata={"spec_hash": spec.spec_hash(), "split": split, "spec": asdict(spec)},
-    )
+    return Dataset(inputs[order], labels[order], k)
 
 
 def _rotation_matrix(dim: int, rng: RngStream) -> np.ndarray:
@@ -174,8 +168,8 @@ def generate_planted(spec: PlantedSpec) -> tuple[Dataset, Dataset]:
     """Generate (train, test) with exactly n_train / n_test rows per class."""
     root = RngStream(spec.seed)
     rotation = _rotation_matrix(spec.total_dim, root.split(2)) if spec.rotate else None
-    train = _planted_split(spec, spec.n_train, root.split(0), rotation, "train")
-    test = _planted_split(spec, spec.n_test, root.split(1), rotation, "test")
+    train = _planted_split(spec, spec.n_train, root.split(0), rotation)
+    test = _planted_split(spec, spec.n_test, root.split(1), rotation)
     return train, test
 
 
@@ -233,8 +227,7 @@ def load_tabular(path: str, format: str = "delimited-text",
         start = 1
     numbers, body = numbers[start:], lines[start:]
     if not body:  # an empty file, or the header save_tabular writes for no rows
-        return Dataset(np.zeros((0, dims or 0)), np.zeros(0, dtype=np.int64),
-                       declared or 0, {"path": path})
+        return Dataset(np.zeros((0, dims or 0)), np.zeros(0, dtype=np.int64), declared or 0)
     sep = "," if format == "delimited-text" else None
     inputs = None
     # One C-level pass.  numpy also strips \x1c-\x1f around a number, which
@@ -281,4 +274,4 @@ def load_tabular(path: str, format: str = "delimited-text",
         raise ValueError(
             f"{path}:{numbers[bad]}: label {label_arr[bad]} out of range "
             f"for {declared} classes")
-    return Dataset(inputs, label_arr, declared, {"path": path})
+    return Dataset(inputs, label_arr, declared)

@@ -120,22 +120,23 @@ def _require_number(name: str, value) -> None:
 
 
 def _fork_pool(workers: int, held):
-    """A :class:`_Pool` of ``workers`` processes, forked now, that find ``held``
-    in ``_held``; leaving its ``with`` block ends and reaps them."""
+    """A :class:`_Pool` of ``workers`` processes, forked now; leaving its
+    ``with`` block ends and reaps them."""
     return contextlib.closing(_Pool(workers, held))
 
 
-_held = None  # what _fork_pool handed this worker; None outside its workers
+_in_worker = False  # True in a _fork_pool worker
 
 
 class _Pool:
-    """Forked workers that each run the pickled calls on their own task pipe
-    and write each ``(ok, value)`` to their own result pipe.  A call goes to
-    the first idle worker.  A worker that dies fails its job and every
-    unfinished one, and the others are killed."""
+    """Runs each submitted call as ``function(held, *args)``: with no workers
+    here, in ``submit``; else in forked workers that each read the pickled
+    calls on their own task pipe and write each ``(ok, value)`` to their own
+    result pipe.  A call goes to the first idle worker.  A worker that dies
+    fails its job and every unfinished one, and the others are killed."""
 
     def __init__(self, workers: int, held):
-        self.workers, self.queue, self.failure = {}, [], None  # result file: [pid, task fd, job]
+        self.held, self.workers, self.queue, self.failure = held, {}, [], None
         sys.stdout.flush()  # else each worker would print the buffered text again
         sys.stderr.flush()
         try:
@@ -146,12 +147,14 @@ class _Pool:
                         fd for file, w in self.workers.items() for fd in (file.fileno(), w[1]))])
                 os.close(tasks[0])
                 os.close(results[1])
-                self.workers[open(results[0], "rb")] = [pid, tasks[1], None]
+                self.workers[open(results[0], "rb")] = [pid, tasks[1], None]  # [pid, task fd, job]
         except BaseException:
             self.close()
             raise
 
     def submit(self, function, *args) -> "_Job":
+        if not self.workers:  # the call runs here, now
+            return _Job(self, _call(function, self.held, args))
         self.queue.append((job := _Job(self), pickle.dumps((function, args))))
         self.wait(None)
         return job
@@ -194,8 +197,8 @@ class _Pool:
 class _Job:
     """A submitted call; ``result()`` and ``exception()`` wait for it."""
 
-    def __init__(self, pool: _Pool):
-        self.pool, self.outcome = pool, None  # (ok, value) once it came back
+    def __init__(self, pool: _Pool, outcome: tuple | None = None):
+        self.pool, self.outcome = pool, outcome  # (ok, value) once it came back
 
     def exception(self) -> Exception | None:
         self.pool.wait(self)
@@ -212,18 +215,15 @@ def _serve(held, tasks: int, results: int, inherited: list) -> None:
     """A worker: run each ``(function, args)`` read from ``tasks`` and write its
     ``(ok, value)`` to ``results`` until the task pipe closes; then
     ``os._exit``, never returning into the caller's stack."""
-    global _held
-    _held, status = held, 1
+    global _in_worker
+    _in_worker, status = True, 1
     try:
         for fd in inherited:
             os.close(fd)
         reader = open(tasks, "rb")
         while reader.peek(1):  # empty once the parent closes the task pipe
             function, args = pickle.load(reader)
-            try:
-                outcome = True, function(*args)
-            except Exception as exc:  # the job's failure is its outcome
-                outcome = False, exc
+            outcome = _call(function, held, args)
             try:
                 pickle.loads(message := pickle.dumps(outcome))  # as the parent will
             except Exception as exc:
@@ -240,6 +240,14 @@ def _serve(held, tasks: int, results: int, inherited: list) -> None:
             os._exit(status)
 
 
+def _call(function, held, args: tuple) -> tuple:
+    """``(True, function(held, *args))``, or ``(False, exc)`` if it raised."""
+    try:
+        return True, function(held, *args)
+    except Exception as exc:  # the job's failure is its outcome
+        return False, exc
+
+
 def _send(fd: int, message: bytes) -> None:
     view = memoryview(message)
     while view:
@@ -250,7 +258,7 @@ def _worker_count(limit: int) -> int:
     """Workers a pool started here may use: one per usable CPU, at most
     ``limit``, and 1 inside a ``_fork_pool`` worker, whose siblings fill the
     other CPUs."""
-    return 1 if _held is not None else min(len(os.sched_getaffinity(0)), limit)
+    return 1 if _in_worker else min(len(os.sched_getaffinity(0)), limit)
 
 
 def _run_jobs(function, jobs) -> list:
@@ -262,23 +270,14 @@ def _run_jobs(function, jobs) -> list:
     """
     jobs = list(jobs)
     workers = _worker_count(len(jobs))
-    if workers <= 1:
-        return [_outcome(function, job) for job in jobs]
-    with _fork_pool(workers, (function, jobs)) as pool:
+    with _fork_pool(workers if workers > 1 else 0, (function, jobs)) as pool:
         handles = [pool.submit(_run_held, index) for index in range(len(jobs))]
         return [handle.exception() or handle.result() for handle in handles]
 
 
-def _run_held(index: int):
-    function, jobs = _held
+def _run_held(held, index: int):
+    function, jobs = held
     return function(*jobs[index])
-
-
-def _outcome(function, job):
-    try:
-        return function(*job)
-    except Exception as exc:  # the job's failure is its result
-        return exc
 
 
 def _row_reduce(ufunc, block: np.ndarray) -> np.ndarray:

@@ -299,22 +299,22 @@ def robust_loss_closed(params: SyntheticParams, hypothesis: LinearHypothesis) ->
     The terms are ordered so that at beta = 0 this is the one-hot robust loss
     (2eps - mu) w1 + (2eps - mu + sigma/sqrt(pi)) w2 + lam/2 ||w||^2, bit for bit.
     """
-    beta = params.beta
-    c1 = (1.0 - beta) * (2.0 * params.eps - params.mu) - beta * params.eps
-    c2 = ((2.0 * params.eps - params.mu + params.sigma_term)
-          - beta * (2.0 * params.eps + params.sigma_term))
+    c1, c2 = _closed_coefficients(params)
     reg = 0.5 * params.lam * (hypothesis.w1 ** 2 + hypothesis.w2 ** 2)
     return c1 * hypothesis.w1 + c2 * hypothesis.w2 + reg
 
 
+def _closed_coefficients(params: SyntheticParams) -> tuple[float, float]:
+    """``(c1, c2)`` of :func:`robust_loss_closed`."""
+    beta = params.beta
+    return ((1.0 - beta) * (2.0 * params.eps - params.mu) - beta * params.eps,
+            (2.0 * params.eps - params.mu + params.sigma_term)
+            - beta * (2.0 * params.eps + params.sigma_term))
+
+
 def optimal_weights(params: SyntheticParams) -> LinearHypothesis:
     """Minimizer of :func:`robust_loss_closed` over w >= 0, max(0, -c / lam)."""
-    beta = params.beta
-    w1 = max(0.0, ((1.0 - beta) * (params.mu - 2.0 * params.eps) + beta * params.eps)
-             / params.lam)
-    w2 = max(0.0, (params.mu - 2.0 * params.eps - params.sigma_term
-                   + beta * (2.0 * params.eps + params.sigma_term)) / params.lam)
-    return LinearHypothesis(w1, w2)
+    return LinearHypothesis(*(max(0.0, -c / params.lam) for c in _closed_coefficients(params)))
 
 
 def collapse_radius(params: SyntheticParams) -> float:

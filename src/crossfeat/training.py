@@ -29,11 +29,11 @@ only on its own inputs, so the results are identical for any worker count.
 Pipelined epochs: with more than one usable CPU, at least two epochs, and
 not inside a forked worker such as a ``train_many`` cell, ``train`` hands
 each epoch-end snapshot and its two evaluation streams to one forked
-worker, which evaluates it while the next epoch trains.  Rows and the best
-checkpoint are settled in epoch order from the same computation as the
-inline path, so records and checkpoints are byte-identical.  A divergence
-first settles the epoch under evaluation, whose error, if it raised one,
-wins; the worker is shut down before ``train`` returns or raises.
+worker, which evaluates it while the next epoch trains; otherwise it is
+evaluated here.  Either way an epoch settles after the next one's steps, or
+before a divergence in them, so records and checkpoints are byte-identical
+and an error its evaluation raised surfaces then, winning over the
+divergence.  The worker is shut down before ``train`` returns or raises.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .attribution import cas, class_attribution_matrix
 from .data import Dataset
 from .model import (Classifier, CrossEntropy, Distillation, backward, forward,
                     load_checkpoint, log_softmax, save_checkpoint, sgd_step)
-from . import numerics
 from .numerics import (RngStream, _fork_pool, _is_int, _require_number, _run_jobs,
                        _worker_count)
 
@@ -123,11 +122,17 @@ class TrainConfig:
             raise ValueError("lr must be >= 0 and decay_factor > 0")
 
     def resolved_eval_attack(self) -> AttackConfig:
-        """Evaluation attack: the training attack without random start unless
-        overridden."""
-        if self.eval_attack is not None:
-            return self.eval_attack
-        return replace(self.attack, random_start=False)
+        """Evaluation attack: :func:`_measuring_attack` of this run's two."""
+        return _measuring_attack(self.attack, self.eval_attack)
+
+
+def _measuring_attack(attack: AttackConfig | None,
+                      eval_attack: AttackConfig | None) -> AttackConfig | None:
+    """The attack every command measures a model under: ``eval_attack`` if
+    given, else ``attack`` without its random start; None (clean) if neither."""
+    if eval_attack is not None:
+        return eval_attack
+    return None if attack is None else replace(attack, random_start=False)
 
 
 @dataclass
@@ -253,14 +258,13 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
     def settle() -> None:
         nonlocal best
         for epoch, snapshot, evaluation in pending:
-            row = EpochRow(epoch, **(evaluation.result() if pipelined else evaluation))
+            row = EpochRow(epoch, **evaluation.result())
             rows.append(row)
             if row.test_robust_acc > best[0]:
                 best = (row.test_robust_acc, epoch, snapshot)
         pending.clear()
 
-    with (_fork_pool(1, (train_set, test_set)) if pipelined
-          else contextlib.nullcontext()) as pool:
+    with _fork_pool(1 if pipelined else 0, (train_set, test_set)) as pool:
         for epoch in range(cfg.epochs):
             lr = lr_at(epoch, cfg)
             order = shuffle_stream.split(epoch).generator.permutation(len(train_set))
@@ -290,11 +294,9 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
             # With a worker, this snapshot is evaluated while the next epoch trains.
             settle()
             snapshot = model.copy()
-            job = (eval_attack, cfg.mode == "standard",
-                   train_eval_stream.split(epoch), eval_stream.split(epoch))
-            pending.append((epoch, snapshot,
-                            pool.submit(_evaluate_shared, snapshot, *job) if pipelined
-                            else _evaluate_epoch(snapshot, train_set, test_set, *job)))
+            pending.append((epoch, snapshot, pool.submit(
+                _evaluate_shared, snapshot, eval_attack, cfg.mode == "standard",
+                train_eval_stream.split(epoch), eval_stream.split(epoch))))
         settle()
 
     _, best_epoch, best_model = best
@@ -337,8 +339,8 @@ def save_records(records: list[dict], path: str) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _evaluate_shared(model: Classifier, *job):
-    return _evaluate_epoch(model, *numerics._held, *job)
+def _evaluate_shared(datasets: tuple[Dataset, Dataset], model: Classifier, *job):
+    return _evaluate_epoch(model, *datasets, *job)
 
 
 def train_many(jobs, train_set: Dataset,

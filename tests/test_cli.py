@@ -249,7 +249,7 @@ class TestTrainingBytes:
         out = tmp_path / "run"
         argv = ["train", "--config", write_config(tmp_path, self.CONFIG), "--out", str(out)]
         assert cli.main(argv) == 0
-        assert pools == ([1] if pipelined else [])
+        assert pools == ([1] if pipelined else [0])
         for name, digest in self.DIGESTS.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
@@ -453,7 +453,7 @@ class TestAttributionCmd:
 
         monkeypatch.setattr(cli, "evaluate", recording_evaluate)
         config = base_config(attribution={"checkpoint": f"{run_dir}/best.ckpt"})
-        config["attack"]["random_start"] = True
+        config["eval_attack"] = dict(config["attack"], random_start=True)
         report = cmd_attribution(config, seed=5)
         assert len(passes) == 1
         metrics, points = passes[0]
@@ -587,7 +587,7 @@ class TestSweep:
             files[name] = {path.relative_to(root).as_posix(): path.read_bytes()
                            for path in sorted(root.rglob("*"))
                            if path.is_file() and path.name != "metadata.json"}
-        assert pools == [2]
+        assert pools == [0, 2]
         assert files["serial"] == files["pooled"]
         assert {"records.jsonl", "summary.json", "medians.jsonl",
                 "cells/eps0.2_at_s2/best.ckpt"} <= set(files["serial"])
@@ -615,6 +615,18 @@ class TestSweep:
             cmd_sweep(base_config(sweep={"epsilons": [0.1], "modes": ["at"],
                                          "seeds": [1, seed]}))
 
+    def test_a_null_attack_sweeps_the_default_one(self, tmp_path):
+        config = base_config(attack=None, sweep={"epsilons": [0.1, 0.2], "modes": ["at"],
+                                                 "seeds": [1]})
+        config["train"] = {"epochs": 1}
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", write_config(tmp_path, config),
+                         "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        assert [row["epsilon"] for row in rows] == [0.1, 0.2]
+        assert rows[0]["ra_best"] == cmd_train(
+            dict(config, attack={"epsilon": 0.1}), seed=1).summary["ra_best"]
+
     def test_zero_epochs_is_an_error_row(self):
         config = base_config(sweep={"epsilons": [0.1], "modes": ["at"],
                                     "seeds": [1]})
@@ -639,6 +651,35 @@ class TestSweep:
         assert len(errors) == 1
         assert "teacher" in errors[0]["error"]
         assert report.summary["failed_cells"] == 1
+
+
+class TestMeasuringAttack:
+    """``eval`` and ``attribution`` of a run's best checkpoint measure it under
+    the attack ``train`` measured its epochs under, so they read its numbers."""
+
+    CONFIG = {"seed": 1, "data": {"planted": {"classes": 4, "n_train": 100, "n_test": 50,
+                                              "seed": 3}},
+              "model": {"hidden": [16]}, "train": {"epochs": 3, "mode": "at"},
+              "attack": {"norm": "linf", "epsilon": 0.4, "steps": 5, "random_start": True}}
+
+    @pytest.mark.parametrize("eval_attack", [None, {"norm": "linf", "epsilon": 0.25,
+                                                    "steps": 3}],
+                             ids=["random-start-attack", "eval-attack"])
+    def test_eval_and_attribution_read_the_best_epoch(self, tmp_path, eval_attack):
+        config = dict(self.CONFIG)
+        if eval_attack is not None:
+            config["eval_attack"] = eval_attack
+        best = str(tmp_path / "run" / "best.ckpt")
+        config.update(eval={"checkpoint": best}, attribution={"checkpoint": best})
+        path = write_config(tmp_path, config)
+        summaries = {}
+        for command in ("train", "eval", "attribution"):
+            out = tmp_path / ("run" if command == "train" else command)
+            assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+            summaries[command] = json.loads((out / "summary.json").read_text())["summary"]
+        assert summaries["eval"]["robust_acc"] == summaries["train"]["ra_best"]
+        assert summaries["attribution"]["robust_acc"] == summaries["train"]["ra_best"]
+        assert summaries["attribution"]["cas"] == summaries["train"]["cas_best"]
 
 
 class TestBestEpochTie:

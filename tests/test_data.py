@@ -140,14 +140,6 @@ class TestGeneratePlanted:
         train, test = generate_planted(spec)
         assert not np.array_equal(train.inputs, test.inputs)
 
-    def test_metadata_records_spec(self):
-        spec = small_spec()
-        train, test = generate_planted(spec)
-        assert train.metadata["spec_hash"] == spec.spec_hash()
-        assert train.metadata["split"] == "train"
-        assert test.metadata["split"] == "test"
-        assert train.metadata["spec"]["classes"] == spec.classes
-
     def test_rotated_signal_is_linearly_recoverable(self):
         # Ridge regression on one-hot targets must separate the classes even
         # after the orthogonal mixing, since rotation preserves the geometry.

@@ -199,7 +199,7 @@ class TestRunJobs:
         for pid, inner in results:
             assert pid != os.getpid()
             assert inner == [pid, pid]
-        assert crossfeat.numerics._held is None
+        assert not crossfeat.numerics._in_worker
 
     def test_a_killed_worker_fails_its_job_and_every_later_one(self, monkeypatch):
         def killed():
@@ -258,7 +258,30 @@ class TestRunJobs:
             assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # children, none ended
             held.append("after the fork")
             assert pool.submit(held_by_the_worker).result() == ["at the fork"]
-        assert crossfeat.numerics._held is None
+        assert not crossfeat.numerics._in_worker
+
+    def test_a_pool_without_workers_runs_each_job_here_at_submit(self):
+        calls, error = [], ZeroDivisionError("kept")
+
+        def doubled(held, value):
+            calls.append((os.getpid(), held))
+            return 2 * value
+
+        def raising(held):
+            raise error
+
+        with crossfeat.numerics._fork_pool(0, "held") as pool:
+            done = pool.submit(doubled, 21)
+            assert done.outcome == (True, 42)
+            assert calls == [(os.getpid(), "held")]
+            failed = pool.submit(raising)
+            assert failed.outcome == (False, error)
+            assert failed.exception() is error
+            with pytest.raises(ZeroDivisionError):
+                failed.result()
+            assert (done.exception(), done.result()) == (None, 42)
+            with pytest.raises(ChildProcessError):  # no child process exists
+                os.waitpid(-1, os.WNOHANG)
 
 
 class NeedsTwo(Exception):
@@ -268,5 +291,5 @@ class NeedsTwo(Exception):
         super().__init__(f"{first} and {second}")
 
 
-def held_by_the_worker():
-    return crossfeat.numerics._held
+def held_by_the_worker(held):
+    return held

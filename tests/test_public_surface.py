@@ -101,7 +101,7 @@ def test_every_public_name_has_a_caller_in_the_package():
                     if used != (module, owner):
                         uses.add(used)
                 elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                      and node.value.id in MODULES):  # numerics._held, say
+                      and node.value.id in MODULES):  # numerics._in_worker, say
                     uses.add((node.value.id, node.attr))
     traced = next(ast.literal_eval(node.value) for node in _parse(TRACER).body
                   if isinstance(node, ast.Assign)
