@@ -27,13 +27,12 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .attack import AttackConfig
-from .attribution import (cas, class_attribution_matrix, instance_cas_matrix,
-                          load_matrix, save_matrix)
+from .attribution import cas, instance_cas_matrix, load_matrix, save_matrix
 from .data import _FORMATS, Dataset, PlantedSpec, generate_planted, load_tabular, save_tabular
 from .model import Classifier, load_checkpoint
 from .numerics import _MASK64, RngStream, _is_int, _is_number
 from .synthetic import SyntheticParams, run_verification
-from .training import (TrainConfig, _measuring_attack, detect_collapse, evaluate,
+from .training import (TrainConfig, _measure, _measuring_attack, detect_collapse,
                        save_records, train, train_many)
 
 __all__ = ["ConfigError", "Report", "cmd_attribution", "cmd_eval",
@@ -356,63 +355,53 @@ def cmd_train(config: dict, out_dir: str | None = None, seed: int | None = None)
                    [asdict(row) for row in record.rows], summary)
 
 
-@_command("eval")
-def cmd_eval(config: dict, out_dir: str | None = None, seed: int | None = None) -> Report:
-    section = config.get("eval", {})
+def _measured_checkpoints(command: str, config: dict, seed: int | None):
+    """The run seed, the test set, whether attribution is clean, and one
+    ``(path, epoch, model, metrics, points, matrix)`` for each checkpoint the
+    ``command`` section names, measured as ``train`` measured the epoch it
+    stores.  All come before the caller's instance-CAS products: OpenBLAS
+    threads those, and its helper thread spins on through the work after them."""
+    section = config.get(command, {})
     if "checkpoint" not in section:
-        raise ConfigError("eval.checkpoint is required")
-    path = section["checkpoint"]
-    run_seed = config.get("seed", 0) if seed is None else seed
-    model, epoch, _ = load_checkpoint(path)
-    test_set = _datasets_from(config, train=False)[1]
-    if model.class_count != test_set.class_count:
-        raise ConfigError(f"eval: the checkpoint has {model.class_count} classes and the "
-                          f"test data {test_set.class_count} (data.class_count)")
-    attack = _measuring_attack(_attack_from(config), _attack_from(config, "eval_attack"))
-    metrics, _ = evaluate(model, test_set, attack, RngStream(run_seed))
-    return _report("eval", config, run_seed, out_dir,
-                   [{"checkpoint": path, "epoch": epoch, **metrics}],
-                   dict(metrics))
-
-
-@_command("attribution")
-def cmd_attribution(config: dict, out_dir: str | None = None, seed: int | None = None) -> Report:
-    section = config.get("attribution", {})
-    if "checkpoint" not in section:
-        raise ConfigError("attribution.checkpoint is required")
+        raise ConfigError(f"{command}.checkpoint is required")
     paths = [p for p in (section["checkpoint"], section.get("checkpoint_last")) if p is not None]
     run_seed = config.get("seed", 0) if seed is None else seed
     test_set = _datasets_from(config, train=False)[1]
     attack = _measuring_attack(_attack_from(config), _attack_from(config, "eval_attack"))
     clean = section.get("clean", False) or attack is None or attack.epsilon == 0.0
-    models = [load_checkpoint(path)[0] for path in paths]
-    if models[-1].class_count != models[0].class_count:
-        raise ConfigError("attribution: checkpoints have different class counts")
-    if models[0].class_count != test_set.class_count:
-        raise ConfigError(f"attribution: the checkpoints have {models[0].class_count} classes "
-                          f"and the test data {test_set.class_count} (data.class_count)")
-    # Every checkpoint's attacked pass and class matrix come before any
-    # instance-CAS product.  Those products are the only ones large enough for
-    # OpenBLAS to thread, and its helper thread spins on through the work that
-    # follows them.
-    passes = []
-    for model in models:
-        # One attacked pass: robust accuracy, CAS and ICAS describe the same points.
-        metrics, points = evaluate(model, test_set, None if clean else attack,
-                                   RngStream(run_seed).split(7))
-        passes.append((metrics, points, class_attribution_matrix(model, test_set, points)))
+    models, epochs = zip(*(load_checkpoint(path)[:2] for path in paths))
+    classes = models[0].class_count
+    if models[-1].class_count != classes:
+        raise ConfigError(f"{command}: checkpoints have different class counts")
+    if classes != test_set.class_count:
+        has = "the checkpoint has" if len(paths) == 1 else "the checkpoints have"
+        raise ConfigError(f"{command}: {has} {classes} classes and the test data "
+                          f"{test_set.class_count} (data.class_count)")
+    return run_seed, test_set, clean, [
+        (path, epoch, model, *_measure(model, test_set, attack, clean, run_seed, epoch))
+        for path, epoch, model in zip(paths, epochs, models)]
+
+
+@_command("eval")
+def cmd_eval(config: dict, out_dir: str | None = None, seed: int | None = None) -> Report:
+    run_seed, _, _, [(path, epoch, _, metrics, _, _)] = _measured_checkpoints("eval", config, seed)
+    return _report("eval", config, run_seed, out_dir,
+                   [{"checkpoint": path, "epoch": epoch, **metrics}], dict(metrics))
+
+
+@_command("attribution")
+def cmd_attribution(config: dict, out_dir: str | None = None, seed: int | None = None) -> Report:
+    run_seed, test_set, clean, measured = _measured_checkpoints("attribution", config, seed)
     records, matrices = [], {}
-    for path, model, (metrics, points, matrix), suffix in zip(paths, models, passes,
-                                                              ("", "_last")):
+    for (path, _, model, metrics, points, matrix), suffix in zip(measured, ("", "_last")):
         icas_matrix, icas = instance_cas_matrix(model, test_set, points)
         matrices[f"attribution_matrix{suffix}.txt"] = matrix
         matrices[f"instance_matrix{suffix}.txt"] = icas_matrix
         records.append({"checkpoint": path, "cas": cas(matrix), "icas": icas,
-                        "robust_acc": metrics["robust_acc"],
-                        "clean_acc": metrics["clean_acc"]})
+                        "robust_acc": metrics["robust_acc"], "clean_acc": metrics["clean_acc"]})
     summary = {"cas": records[0]["cas"], "icas": records[0]["icas"],
                "robust_acc": records[0]["robust_acc"], "clean_attribution": clean}
-    if len(models) == 2:
+    if len(measured) == 2:
         best, last = matrices["attribution_matrix.txt"], matrices["attribution_matrix_last.txt"]
         matrices["attribution_diff.txt"] = best - last
         summary["delta_cas"] = cas(best) - cas(last)

@@ -7,7 +7,9 @@ Determinism contract: a run is a pure function of (model initial state,
 datasets, TrainConfig).  All randomness flows through streams split from the
 config seed - one for shuffling, one for attack crafting, one for evaluation
 - so modes that ignore a stream leave the others untouched (e.g. an epsilon-0
-adversarial run steps identically to standard training).
+adversarial run steps identically to standard training).  One measurement,
+``_measure``, gives each epoch's test_* fields and CAS, and ``crossfeat eval``
+and ``attribution`` measure a checkpoint through it.
 
 Record file format: one JSON object per line with the fields ``epoch,
 train_robust_loss, train_robust_acc, test_clean_acc, test_robust_acc, cas``
@@ -28,12 +30,12 @@ only on its own inputs, so the results are identical for any worker count.
 
 Pipelined epochs: with more than one usable CPU, at least two epochs, and
 not inside a forked worker such as a ``train_many`` cell, ``train`` hands
-each epoch-end snapshot and its two evaluation streams to one forked
-worker, which evaluates it while the next epoch trains; otherwise it is
-evaluated here.  Either way an epoch settles after the next one's steps, or
-before a divergence in them, so records and checkpoints are byte-identical
-and an error its evaluation raised surfaces then, winning over the
-divergence.  The worker is shut down before ``train`` returns or raises.
+each epoch-end snapshot to one forked worker, which evaluates it while the
+next epoch trains; otherwise it is evaluated here.  Either way an epoch
+settles after the next one's steps, or before a divergence in them, so
+records and checkpoints are byte-identical and an error its evaluation raised
+surfaces then, winning over the divergence.  The worker is shut down before
+``train`` returns or raises.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ def evaluate(model: Classifier, dataset: Dataset,
     robust_acc <= clean_acc holds deterministically.  mean_loss averages the
     per-sample worse (higher) of the clean and attacked cross-entropy.
     Returns ``(metrics, points)``; without an attack the points are the clean
-    inputs.
+    inputs.  A random-start attack draws from ``rng``, which it requires.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -201,7 +203,7 @@ def evaluate(model: Classifier, dataset: Dataset,
     clean_correct = clean_logits.argmax(axis=1) == labels
     points, correct, loss = inputs, clean_correct, _per_sample_ce(clean_logits, labels)
     if attack is not None and attack.epsilon != 0.0:
-        points = pgd(model, inputs, labels, attack, rng or RngStream(0))
+        points = pgd(model, inputs, labels, attack, rng)
         adv_logits = forward(model, points)
         correct = clean_correct & (adv_logits.argmax(axis=1) == labels)
         loss = np.maximum(loss, _per_sample_ce(adv_logits, labels))
@@ -223,14 +225,25 @@ def _loss_spec(cfg: TrainConfig):
     return Distillation(teacher, cfg.temperature, cfg.lambda_mix)
 
 
+def _measure(model: Classifier, test_set: Dataset, attack: AttackConfig | None,
+             clean: bool, seed: int, epoch: int) -> tuple[dict, np.ndarray, np.ndarray]:
+    """``(metrics, attributed points, class matrix)`` of the model a run seeded
+    ``seed`` reached at ``epoch`` (-1 if it ran none): ``evaluate`` under
+    ``attack`` in the stream ``RngStream(seed).split(3).split(max(epoch, 0))``,
+    attributing the attacked points or, if ``clean``, the clean inputs."""
+    metrics, points = evaluate(model, test_set, attack,
+                               RngStream(seed).split(3).split(max(epoch, 0)))
+    points = test_set.inputs if clean else points
+    return metrics, points, class_attribution_matrix(model, test_set, points)
+
+
 def _evaluate_epoch(model: Classifier, train_set: Dataset, test_set: Dataset,
-                    attack: AttackConfig, standard: bool, train_rng: RngStream,
-                    test_rng: RngStream) -> dict:
+                    attack: AttackConfig, standard: bool, seed: int, epoch: int) -> dict:
     """The measured ``EpochRow`` fields of one epoch-end model, by name;
     standard training measures and attributes clean points."""
-    train_metrics, _ = evaluate(model, train_set, None if standard else attack, train_rng)
-    metrics, points = evaluate(model, test_set, attack, test_rng)
-    matrix = class_attribution_matrix(model, test_set, None if standard else points)
+    train_metrics, _ = evaluate(model, train_set, None if standard else attack,
+                                RngStream(seed).split(4).split(epoch))
+    metrics, _, matrix = _measure(model, test_set, attack, standard, seed, epoch)
     return {"train_robust_loss": train_metrics["mean_loss"],
             "train_robust_acc": train_metrics["robust_acc"],
             "test_clean_acc": metrics["clean_acc"],
@@ -245,9 +258,6 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
         raise ValueError("train and test sets must be nonempty")
     loss_spec = _loss_spec(cfg)
     eval_attack = cfg.resolved_eval_attack()
-    root = RngStream(cfg.seed)
-    shuffle_stream, attack_stream, eval_stream, train_eval_stream = (
-        root.split(k) for k in (1, 2, 3, 4))
     opt_state = None
     rows: list[EpochRow] = []
     best = (-1.0, None, model.copy())  # (test robust acc, epoch, model)
@@ -267,8 +277,8 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
     with _fork_pool(1 if pipelined else 0, (train_set, test_set)) as pool:
         for epoch in range(cfg.epochs):
             lr = lr_at(epoch, cfg)
-            order = shuffle_stream.split(epoch).generator.permutation(len(train_set))
-            epoch_attack = attack_stream.split(epoch)
+            order = RngStream(cfg.seed).split(1).split(epoch).generator.permutation(len(train_set))
+            epoch_attack = RngStream(cfg.seed).split(2).split(epoch)
             for step, start in enumerate(range(0, len(order), cfg.batch_size)):
                 idx = order[start:start + cfg.batch_size]
                 x, y = inputs[idx], labels[idx]
@@ -296,7 +306,7 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
             snapshot = model.copy()
             pending.append((epoch, snapshot, pool.submit(
                 _evaluate_shared, snapshot, eval_attack, cfg.mode == "standard",
-                train_eval_stream.split(epoch), eval_stream.split(epoch))))
+                cfg.seed, epoch)))
         settle()
 
     _, best_epoch, best_model = best

@@ -383,7 +383,7 @@ class TestClassCounts:
                                                      command, train_classes, test_classes,
                                                      message):
         calls = []
-        for name in ("train", "train_many", "evaluate"):
+        for name in ("train", "train_many", "_measure"):
             monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
         checkpoint = str(tmp_path / "four.ckpt")
         save_checkpoint(Classifier.create(12, (8,), 4, RngStream(0)), checkpoint)
@@ -447,16 +447,16 @@ class TestAttributionCmd:
         # CAS, ICAS and robust accuracy agree only if they share one pass.
         passes = []
 
-        def recording_evaluate(*args, **kwargs):
-            passes.append(evaluate(*args, **kwargs))
+        def recording_measure(*args, **kwargs):
+            passes.append(training._measure(*args, **kwargs))
             return passes[-1]
 
-        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+        monkeypatch.setattr(cli, "_measure", recording_measure)
         config = base_config(attribution={"checkpoint": f"{run_dir}/best.ckpt"})
         config["eval_attack"] = dict(config["attack"], random_start=True)
         report = cmd_attribution(config, seed=5)
         assert len(passes) == 1
-        metrics, points = passes[0]
+        metrics, points, _ = passes[0]
         model, _, _ = load_checkpoint(f"{run_dir}/best.ckpt")
         _, test_set = generate_planted(PlantedSpec(**config["data"]["planted"]))
         assert not np.array_equal(points, test_set.inputs)
@@ -478,8 +478,7 @@ class TestAttributionCmd:
             real = getattr(cli, name)
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        for name in ("evaluate", "class_attribution_matrix", "instance_cas_matrix",
-                     "save_matrix"):
+        for name in ("_measure", "instance_cas_matrix", "save_matrix"):
             monkeypatch.setattr(cli, name, spy(name))
         section = {"checkpoint": f"{run_dir}/best.ckpt", "clean": clean}
         if last:
@@ -488,7 +487,7 @@ class TestAttributionCmd:
                                  out_dir=str(tmp_path / "attr"))
         assert report.summary["clean_attribution"] is clean
         n = 1 + last
-        assert calls == (["evaluate", "class_attribution_matrix"] * n
+        assert calls == (["_measure"] * n
                          + ["instance_cas_matrix"] * n + ["save_matrix"] * (3 * n - 1))
 
     def test_requires_checkpoint(self):
@@ -513,7 +512,7 @@ class TestAttributionCmd:
         config = base_config(
             attribution={"checkpoint": f"{run_dir}/best.ckpt",
                          "checkpoint_last": path})
-        monkeypatch.setattr(cli, "evaluate", None)  # a measurement would exit 1
+        monkeypatch.setattr(cli, "_measure", None)  # a measurement would exit 1
         out = tmp_path / "attr"
         argv = ["attribution", "--config", write_config(tmp_path, config),
                 "--out", str(out)]
@@ -654,32 +653,57 @@ class TestSweep:
 
 
 class TestMeasuringAttack:
-    """``eval`` and ``attribution`` of a run's best checkpoint measure it under
-    the attack ``train`` measured its epochs under, so they read its numbers."""
+    """``eval`` and ``attribution`` of a run's best and last checkpoints
+    measure each under the attack and in the random stream ``train`` measured
+    its epoch in, so they read its numbers, a random start included."""
 
     CONFIG = {"seed": 1, "data": {"planted": {"classes": 4, "n_train": 100, "n_test": 50,
                                               "seed": 3}},
               "model": {"hidden": [16]}, "train": {"epochs": 3, "mode": "at"},
               "attack": {"norm": "linf", "epsilon": 0.4, "steps": 5, "random_start": True}}
+    EVAL_ATTACK = {"norm": "linf", "epsilon": 0.25, "steps": 3}
 
-    @pytest.mark.parametrize("eval_attack", [None, {"norm": "linf", "epsilon": 0.25,
-                                                    "steps": 3}],
-                             ids=["random-start-attack", "eval-attack"])
-    def test_eval_and_attribution_read_the_best_epoch(self, tmp_path, eval_attack):
-        config = dict(self.CONFIG)
-        if eval_attack is not None:
-            config["eval_attack"] = eval_attack
-        best = str(tmp_path / "run" / "best.ckpt")
-        config.update(eval={"checkpoint": best}, attribution={"checkpoint": best})
+    # distinct: the best epoch is not the last, so two checkpoints are compared.
+    @pytest.mark.parametrize("overrides, clean, distinct", [
+        ({}, False, False),
+        ({"eval_attack": EVAL_ATTACK}, False, True),
+        ({"seed": 2, "eval_attack": dict(EVAL_ATTACK, random_start=True)}, False, True),
+        # Standard training attributes clean points and still measures under the attack.
+        ({"train": {"epochs": 3, "mode": "standard"}}, True, True),
+    ], ids=["random-start-attack", "eval-attack", "random-start-eval-attack", "standard-clean"])
+    def test_eval_and_attribution_read_the_recorded_epochs(self, tmp_path, overrides, clean,
+                                                           distinct):
+        config = dict(self.CONFIG, **overrides)
+        run = tmp_path / "run"
+        assert cli.main(["train", "--config", write_config(tmp_path, config),
+                         "--out", str(run)]) == 0
+        summary = json.loads((run / "summary.json").read_text())["summary"]
+        best, last = str(run / "best.ckpt"), str(run / "last.ckpt")
+        assert (summary["best_epoch"] != config["train"]["epochs"] - 1) == distinct
+        records = cmd_attribution(dict(config, attribution={
+            "checkpoint": best, "checkpoint_last": last, "clean": clean})).records
+        for checkpoint, record, which in ((best, records[0], "best"), (last, records[1], "last")):
+            measured = cmd_eval(dict(config, eval={"checkpoint": checkpoint})).summary
+            assert measured["robust_acc"] == record["robust_acc"] == summary[f"ra_{which}"]
+            assert record["cas"] == summary[f"cas_{which}"]
+
+    def test_a_run_with_no_epochs_is_measured_in_epoch_zeros_stream(self, tmp_path):
+        config = dict(self.CONFIG, train={"epochs": 0},
+                      eval_attack=dict(self.EVAL_ATTACK, random_start=True))
+        run = tmp_path / "run"
+        assert cli.main(["train", "--config", write_config(tmp_path, config),
+                         "--out", str(run)]) == 0
+        checkpoint = str(run / "best.ckpt")
+        config.update(eval={"checkpoint": checkpoint}, attribution={"checkpoint": checkpoint})
         path = write_config(tmp_path, config)
-        summaries = {}
-        for command in ("train", "eval", "attribution"):
-            out = tmp_path / ("run" if command == "train" else command)
-            assert cli.main([command, "--config", path, "--out", str(out)]) == 0
-            summaries[command] = json.loads((out / "summary.json").read_text())["summary"]
-        assert summaries["eval"]["robust_acc"] == summaries["train"]["ra_best"]
-        assert summaries["attribution"]["robust_acc"] == summaries["train"]["ra_best"]
-        assert summaries["attribution"]["cas"] == summaries["train"]["cas_best"]
+        for command in ("eval", "attribution"):
+            assert cli.main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+        model, epoch, _ = load_checkpoint(checkpoint)
+        test_set = generate_planted(PlantedSpec(**config["data"]["planted"]))[1]
+        metrics, _ = evaluate(model, test_set, AttackConfig(**config["eval_attack"]),
+                              RngStream(1).split(3).split(0))
+        summary = json.loads((tmp_path / "eval" / "summary.json").read_text())["summary"]
+        assert epoch == -1 and summary == metrics
 
 
 class TestBestEpochTie:

@@ -178,6 +178,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(tiny_model(input_dim=4), empty)
 
+    def test_a_random_start_needs_a_stream(self):
+        _, test_set = tiny_data()
+        with pytest.raises(ValueError, match="^random_start requires an rng stream$"):
+            evaluate(tiny_model(), test_set, AttackConfig(epsilon=0.2, random_start=True))
+
     def test_deterministic_under_random_start_attack(self):
         _, test_set = tiny_data()
         model = tiny_model()
