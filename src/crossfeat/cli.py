@@ -32,7 +32,7 @@ from .data import _FORMATS, Dataset, PlantedSpec, generate_planted, load_tabular
 from .model import Classifier, load_checkpoint
 from .numerics import _MASK64, RngStream, _is_int, _is_number
 from .synthetic import SyntheticParams, run_verification
-from .training import (TrainConfig, _measure, _measuring_attack, detect_collapse,
+from .training import (TrainConfig, _measure, detect_collapse, measuring_attack,
                        save_records, train, train_many)
 
 __all__ = ["ConfigError", "Report", "cmd_attribution", "cmd_eval",
@@ -82,9 +82,11 @@ _SWITCH = _rule(lambda v: isinstance(v, bool), "true or false")  # bool("false")
 _PATH = _rule(lambda v: isinstance(v, str) and v != "", "a path string")
 _PATH_OR_NULL = _rule(lambda v: v is None or _PATH(v) is None, "a path string or null")
 _BOUNDS = _or_null(_list_of("[lo, hi]"))  # null: unbounded
+_ATTACK = {"norm": None, "epsilon": None, "step_size": None, "steps": None,
+           "random_start": _SWITCH, "input_bounds": _BOUNDS}
 
-# Every config key.  A leaf is the rule the CLI checks for its value, or None
-# where the dataclass the value goes to owns the rule.
+# Every config key.  A leaf is the CLI's rule for its value, or None where the
+# callee owns the rule.  A key left out is not passed: the callee's default holds.
 _SCHEMA = {
     "out_dir": _PATH_OR_NULL,
     "seed": _SEED,
@@ -104,10 +106,7 @@ _SCHEMA = {
               "decay_fractions": _list_of("of numbers"), "decay_factor": None,
               "momentum": None, "weight_decay": None, "mode": None, "beta": None,
               "lambda_mix": None, "temperature": None, "teacher": None},
-    "attack": {"norm": None, "epsilon": None, "step_size": None, "steps": None,
-               "random_start": _SWITCH, "input_bounds": _BOUNDS},
-    "eval_attack": {"norm": None, "epsilon": None, "step_size": None,
-                    "steps": None, "random_start": _SWITCH, "input_bounds": _BOUNDS},
+    "attack": _ATTACK, "eval_attack": _ATTACK,
     "attribution": {"checkpoint": _PATH, "checkpoint_last": _PATH_OR_NULL,
                     "clean": _SWITCH},
     "eval": {"checkpoint": _PATH},
@@ -213,10 +212,9 @@ def _datasets_from(config: dict, train: bool = True) -> tuple[Dataset | None, Da
     data = config.get("data", {})
     if "train_path" not in data or "test_path" not in data:
         raise ConfigError("data: need either data.planted or train_path + test_path")
-    fmt = data.get("format", "delimited-text")
-    count = data.get("class_count")  # null: raw-matrix infers it, delimited-text reads its header
-    train_set = load_tabular(data["train_path"], fmt, count) if train else None
-    test_set = load_tabular(data["test_path"], fmt, count)
+    options = {key: data[key] for key in ("format", "class_count") if key in data}
+    train_set = load_tabular(data["train_path"], **options) if train else None
+    test_set = load_tabular(data["test_path"], **options)
     if train_set is not None and train_set.class_count != test_set.class_count:
         raise ConfigError(f"data: train_path has {train_set.class_count} classes and "
                           f"test_path {test_set.class_count}; they must agree "
@@ -228,11 +226,10 @@ def _training_job(config: dict, seed: int, out_dir: str | None,
                   train_set: Dataset) -> tuple[Classifier, TrainConfig]:
     section = config.get("model", {})
     model = _build("model", Classifier.create, dict(
+        {key: section[key] for key in ("hidden_bias", "head_bias") if key in section},
         input_dim=train_set.inputs.shape[1],
         hidden_widths=section.get("hidden", [32, 32]),
         classes=train_set.class_count, rng=RngStream(seed).split(0),
-        hidden_bias=section.get("hidden_bias", True),
-        head_bias=section.get("head_bias", False),
     ))
     kwargs = dict(config.get("train", {}))
     if "epochs" not in kwargs:
@@ -306,13 +303,11 @@ def _report(command: str, config: dict, seed: int | None, out_dir: str | None,
 @_command("synth-verify")
 def cmd_synth_verify(config: dict, out_dir: str | None = None, seed: int | None = None) -> Report:
     section = dict(config.get("synthetic", {}))
-    mc_samples = section.pop("mc_samples", 200_000)
-    oracle_steps = section.pop("oracle_steps", 10_000)
+    options = {key: section.pop(key) for key in ("mc_samples", "oracle_steps") if key in section}
     run_seed = section.pop("seed", 0)  # popped even when --seed overrides it
     run_seed = run_seed if seed is None else seed
     params = _build("synthetic", SyntheticParams, section)
-    checks = run_verification(params, seed=run_seed, mc_samples=mc_samples,
-                              oracle_steps=oracle_steps)
+    checks = run_verification(params, seed=run_seed, **options)
     failures = [c for c in checks if c.status == "fail"]
     counts = {status: sum(1 for c in checks if c.status == status)
               for status in ("pass", "fail", "boundary", "info")}
@@ -367,7 +362,7 @@ def _measured_checkpoints(command: str, config: dict, seed: int | None):
     paths = [p for p in (section["checkpoint"], section.get("checkpoint_last")) if p is not None]
     run_seed = config.get("seed", 0) if seed is None else seed
     test_set = _datasets_from(config, train=False)[1]
-    attack = _measuring_attack(_attack_from(config), _attack_from(config, "eval_attack"))
+    attack = measuring_attack(_attack_from(config), _attack_from(config, "eval_attack"))
     clean = section.get("clean", False) or attack is None or attack.epsilon == 0.0
     models, epochs = zip(*(load_checkpoint(path)[:2] for path in paths))
     classes = models[0].class_count
@@ -377,6 +372,10 @@ def _measured_checkpoints(command: str, config: dict, seed: int | None):
         has = "the checkpoint has" if len(paths) == 1 else "the checkpoints have"
         raise ConfigError(f"{command}: {has} {classes} classes and the test data "
                           f"{test_set.class_count} (data.class_count)")
+    for path, model in zip(paths, models):
+        if model.input_dim != test_set.inputs.shape[1]:
+            raise ConfigError(f"{command}: the checkpoint {path} takes {model.input_dim} "
+                              f"inputs and the test data has {test_set.inputs.shape[1]}")
     return run_seed, test_set, clean, [
         (path, epoch, model, *_measure(model, test_set, attack, clean, run_seed, epoch))
         for path, epoch, model in zip(paths, epochs, models)]

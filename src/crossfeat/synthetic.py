@@ -58,6 +58,7 @@ __all__ = [
     "margin_loss",
     "max_gauss_mean_mc",
     "optimal_weights",
+    "pair_margin_mc",
     "pair_margin_prob",
     "projected_gd_oracle",
     "replicate_groups",
@@ -401,11 +402,9 @@ def projected_gd_oracle(coefficients: np.ndarray, lam: float,
 
 
 def pair_margin_prob(params: SyntheticParams, hypothesis: LinearHypothesis,
-                     convention: str = "exact", method: str = "closed",
-                     n_samples: int = 1_000_000,
-                     rng: RngStream | None = None) -> float:
+                     convention: str = "exact") -> float:
     """Probability that a class-1 sample's logit beats class 2's under the
-    pairwise worst-case perturbation.
+    pairwise worst-case perturbation, in closed form.
 
     That perturbation shifts x_{E,1} and x_{C,2} by -eps and x_{E,2} and
     x_{C,1} by +eps; the resulting margin is (w1 + w2)(mu - 2 eps) plus
@@ -413,23 +412,24 @@ def pair_margin_prob(params: SyntheticParams, hypothesis: LinearHypothesis,
     distribution, sigma * sqrt(w1^2 + w2^2); ``paper`` doubles the variance
     of each coordinate difference (noise sd sigma * sqrt(2) * sqrt(...)),
     matching a derivation that treats the perturbed off-class coordinate as
-    still stochastic.  The MC method simulates raw samples and arbitrates:
-    it matches ``exact``.
+    still stochastic.  :func:`pair_margin_mc` arbitrates: it matches ``exact``.
     """
-    if hypothesis.w1 <= 0:
-        raise ValueError(f"pair margin probability requires w1 > 0, got {hypothesis.w1}")
+    _require_pair_margin(hypothesis)
     if convention not in ("exact", "paper"):
         raise ValueError(f"convention must be 'exact' or 'paper', got {convention!r}")
-    if method == "closed":
-        sd = params.sigma * math.sqrt(hypothesis.w1 ** 2 + hypothesis.w2 ** 2)
-        if convention == "paper":
-            sd *= math.sqrt(2.0)
-        mean = (hypothesis.w1 + hypothesis.w2) * (params.mu - 2.0 * params.eps)
-        return std_normal_cdf(mean / sd)
-    if method != "mc":
-        raise ValueError(f"method must be 'closed' or 'mc', got {method!r}")
-    if rng is None:
-        raise ValueError("mc method requires an rng stream")
+    sd = params.sigma * math.sqrt(hypothesis.w1 ** 2 + hypothesis.w2 ** 2)
+    if convention == "paper":
+        sd *= math.sqrt(2.0)
+    mean = (hypothesis.w1 + hypothesis.w2) * (params.mu - 2.0 * params.eps)
+    return std_normal_cdf(mean / sd)
+
+
+def pair_margin_mc(params: SyntheticParams, hypothesis: LinearHypothesis,
+                   n_samples: int, rng: RngStream) -> float:
+    """Monte-Carlo oracle of :func:`pair_margin_prob`: the share of
+    ``n_samples`` raw class-1 samples, perturbed as that function describes,
+    whose class-1 logit beats class 2's."""
+    _require_pair_margin(hypothesis)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     batch = sample(params, 1, n_samples, rng)
@@ -442,6 +442,11 @@ def pair_margin_prob(params: SyntheticParams, hypothesis: LinearHypothesis,
     own, other = (hypothesis.w1 * batch.x_e[:, k] + hypothesis.w2 * (total - batch.x_c[:, k])
                   for k in (0, 1))
     return float(np.mean(own > other))
+
+
+def _require_pair_margin(hypothesis: LinearHypothesis) -> None:
+    if hypothesis.w1 <= 0:
+        raise ValueError(f"pair margin probability requires w1 > 0, got {hypothesis.w1}")
 
 
 def max_gauss_mean_mc(n_samples: int, rng: RngStream) -> tuple[float, float]:
@@ -468,9 +473,8 @@ class GroupVerification:
     max_abs_err: float
 
 
-def replicate_groups(params_list: list[SyntheticParams], n_samples: int = 200_000,
-                     rng: RngStream | None = None,
-                     steps: int = 10_000) -> GroupVerification:
+def replicate_groups(params_list: list[SyntheticParams], n_samples: int,
+                     rng: RngStream, steps: int) -> GroupVerification:
     """Verify the K-group replicated model optimizes group by group.
 
     The replicated model concatenates K independent copies of the feature
@@ -484,8 +488,6 @@ def replicate_groups(params_list: list[SyntheticParams], n_samples: int = 200_00
     params_list = list(params_list)
     if not params_list:
         raise ValueError("need at least one group")
-    if rng is None:
-        rng = RngStream(0)
     joint = [
         projected_gd_oracle(frozen_linear_coefficients(p, n_samples, rng.split(k)),
                             p.lam, steps=steps)
@@ -705,8 +707,7 @@ def _pair_margins(base, seed, mc_samples, oracle_steps, case) -> Iterator[CheckR
     mc_n = 1_000_000
     h_pm = LinearHypothesis(1.0, 0.7)
     closed_val = pair_margin_prob(p_pm, h_pm)
-    mc_prob = pair_margin_prob(p_pm, h_pm, method="mc", n_samples=mc_n,
-                               rng=RngStream(seed).split(6))
+    mc_prob = pair_margin_mc(p_pm, h_pm, mc_n, RngStream(seed).split(6))
     se = math.sqrt(max(closed_val * (1 - closed_val), 1e-12) / mc_n)
     yield _check(
         "pair_margin_mc", {"w2": 0.7, "n": mc_n}, closed_val, mc_prob, 3.0 * se,
@@ -722,8 +723,7 @@ def _pair_margins(base, seed, mc_samples, oracle_steps, case) -> Iterator[CheckR
 def _replicated_groups(base, seed, mc_samples, oracle_steps, case) -> Iterator[CheckRecord]:
     # Replicated groups decouple.
     group_params = [_at(base, eps=0.1 * base.mu), _at(base, eps=0.4 * base.mu)]
-    gv = replicate_groups(group_params, n_samples=mc_samples, rng=RngStream(seed).split(7),
-                          steps=oracle_steps)
+    gv = replicate_groups(group_params, mc_samples, RngStream(seed).split(7), oracle_steps)
     scale = base.mu / base.lam
     yield _check(
         "group_decoupling", {"groups": 2, "eps": [p.eps for p in group_params]},

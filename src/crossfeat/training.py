@@ -64,6 +64,7 @@ __all__ = [
     "detect_collapse",
     "evaluate",
     "lr_at",
+    "measuring_attack",
     "save_records",
     "train",
     "train_many",
@@ -123,13 +124,9 @@ class TrainConfig:
         if self.lr < 0 or self.decay_factor <= 0:
             raise ValueError("lr must be >= 0 and decay_factor > 0")
 
-    def resolved_eval_attack(self) -> AttackConfig:
-        """Evaluation attack: :func:`_measuring_attack` of this run's two."""
-        return _measuring_attack(self.attack, self.eval_attack)
 
-
-def _measuring_attack(attack: AttackConfig | None,
-                      eval_attack: AttackConfig | None) -> AttackConfig | None:
+def measuring_attack(attack: AttackConfig | None,
+                     eval_attack: AttackConfig | None) -> AttackConfig | None:
     """The attack every command measures a model under: ``eval_attack`` if
     given, else ``attack`` without its random start; None (clean) if neither."""
     if eval_attack is not None:
@@ -257,7 +254,7 @@ def train(model: Classifier, train_set: Dataset, test_set: Dataset,
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("train and test sets must be nonempty")
     loss_spec = _loss_spec(cfg)
-    eval_attack = cfg.resolved_eval_attack()
+    eval_attack = measuring_attack(cfg.attack, cfg.eval_attack)
     opt_state = None
     rows: list[EpochRow] = []
     best = (-1.0, None, model.copy())  # (test robust acc, epoch, model)
@@ -363,12 +360,7 @@ def train_many(jobs, train_set: Dataset,
     job), which inherit the datasets; with one CPU or one job they run here,
     one after another.
     """
-    return _run_jobs(_train_copy, [(model, cfg, train_set, test_set) for model, cfg in jobs])
-
-
-def _train_copy(model: Classifier, cfg: TrainConfig, train_set: Dataset,
-                test_set: Dataset) -> RunRecord:
-    return train(model.copy(), train_set, test_set, cfg)
+    return _run_jobs(train, [(model.copy(), train_set, test_set, cfg) for model, cfg in jobs])
 
 
 def detect_collapse(rows: list[EpochRow]) -> dict:

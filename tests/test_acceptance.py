@@ -33,7 +33,7 @@ from crossfeat.numerics import RngStream
 from crossfeat.synthetic import (LinearHypothesis, SyntheticParams, collapse_radius,
                                  frozen_linear_coefficients, linear_classifier,
                                  margin_loss, max_gauss_mean_mc,
-                                 optimal_weights, pair_margin_prob,
+                                 optimal_weights, pair_margin_mc, pair_margin_prob,
                                  projected_gd_oracle, sample, worst_case_delta)
 from crossfeat.training import EpochRow, TrainConfig, detect_collapse, train_many
 
@@ -117,8 +117,7 @@ class TestCriterion02:
         root = RngStream(202)
         n = 1_000_000
         for k, (t, p) in enumerate(zip(self.RATIOS, closed)):
-            mc = pair_margin_prob(self.PARAMS, LinearHypothesis(1.0, t),
-                                  method="mc", n_samples=n, rng=root.split(k))
+            mc = pair_margin_mc(self.PARAMS, LinearHypothesis(1.0, t), n, root.split(k))
             se = math.sqrt(p * (1.0 - p) / n)
             if abs(mc - p) > 3.0 * se:
                 problems.append(f"mc at ratio {t}: {mc:.6f} vs {p:.6f} (3se={3 * se:.2g})")

@@ -8,6 +8,7 @@ import pytest
 
 import crossfeat.attack
 import crossfeat.model
+from blas_kernel import PINNED
 from crossfeat.attack import AttackConfig, fgsm, pgd, project
 from crossfeat.model import _BLOCK_ROWS, Affine, Classifier, CrossEntropy, backward
 from crossfeat.numerics import RngStream
@@ -289,7 +290,7 @@ class TestPgdFastPath:
         x, y = batch(model, seed=2, n=rows)
         attack = fgsm if name == "fgsm" else pgd
         out = attack(model, x, y, self.CASES[name], RngStream(13, stream_id=88))
-        assert hashlib.sha256(out.tobytes()).hexdigest() == self.DIGESTS[name, rows]
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.DIGESTS[name, rows], PINNED
 
     @pytest.mark.parametrize("rows, blocks", [(1, 1), (256, 1), (257, 2), (600, 3)])
     @pytest.mark.parametrize("steps", [1, 10])

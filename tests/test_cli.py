@@ -1,6 +1,7 @@
 """Tests for the config-driven command-line runner."""
 
 import hashlib
+import inspect
 import json
 import os
 import statistics
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import crossfeat
+from blas_kernel import PINNED
 from crossfeat import cli, training
 from crossfeat.attack import AttackConfig
 from crossfeat.attribution import (cas, class_attribution_matrix,
@@ -251,7 +253,8 @@ class TestTrainingBytes:
         assert cli.main(argv) == 0
         assert pools == ([1] if pipelined else [0])
         for name, digest in self.DIGESTS.items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, \
+                f"{name}, {PINNED}"
 
 
 class TestDistilledTrainingBytes:
@@ -276,7 +279,8 @@ class TestDistilledTrainingBytes:
         assert cli.main(["train", "--config", write_config(tmp_path, student),
                          "--out", str(out)]) == 0
         for name, digest in self.DIGESTS.items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, \
+                f"{name}, {PINNED}"
 
 
 class TestAttributionBytes:
@@ -311,7 +315,7 @@ class TestAttributionBytes:
                          "--out", "attr"]) == 0
         for name, digest in self.DIGESTS.items():
             assert hashlib.sha256((tmp_path / "attr" / name).read_bytes()).hexdigest() \
-                == digest, name
+                == digest, f"{name}, {PINNED}"
 
 
 class TestEvalCmd:
@@ -398,6 +402,75 @@ class TestClassCounts:
         err = capsys.readouterr().err
         assert message in err and "(data.class_count)" in err
         assert calls == [] and not out.exists()
+
+
+class TestInputWidths:
+    """A checkpoint whose input width is not the test data's is a config
+    error that names both widths, raised before anything is measured.  eval
+    and attribution used to exit 1 after loading, in forward's words."""
+
+    @pytest.mark.parametrize("command", ["eval", "attribution"])
+    def test_mismatch_exits_two_before_anything_is_measured(self, tmp_path, monkeypatch,
+                                                            capsys, command):
+        calls = []
+        monkeypatch.setattr(cli, "_measure", lambda *args: calls.append(args))
+        data = TestClassCounts.split(tmp_path, 3)  # 12 input columns
+        narrow, wide = str(tmp_path / "narrow.ckpt"), str(tmp_path / "wide.ckpt")
+        save_checkpoint(Classifier.create(8, (8,), 3, RngStream(0)), narrow)
+        save_checkpoint(Classifier.create(12, (8,), 3, RngStream(0)), wide)
+        config = dict(base_config(data={"train_path": data, "test_path": data}),
+                      eval={"checkpoint": narrow},
+                      attribution={"checkpoint": wide, "checkpoint_last": narrow})
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, config), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert (f"config error: {command}: the checkpoint {narrow} takes 8 inputs and "
+                f"the test data has 12") in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+
+class TestForwardedKeys:
+    """The CLI passes on only the keys a config sets, so the default of each
+    one it leaves out is the library's own, stated once."""
+
+    @staticmethod
+    def spy(monkeypatch, owner, name, result=None):
+        """The arguments of each call of ``owner.name``, by parameter name."""
+        calls, real = [], getattr(owner, name)
+
+        def called(*args, **kwargs):
+            calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+            return result if result is not None else real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, called)
+        return calls
+
+    @pytest.mark.parametrize("synthetic", [{}, {"mc_samples": 7}, {"oracle_steps": 0}])
+    def test_synth_verify(self, monkeypatch, synthetic):
+        calls = self.spy(monkeypatch, cli, "run_verification", result=[])
+        cmd_synth_verify({"synthetic": synthetic})
+        [arguments] = calls
+        assert {key: arguments[key] for key in ("mc_samples", "oracle_steps")
+                if key in arguments} == synthetic
+
+    @pytest.mark.parametrize("model, data", [
+        ({}, {}),
+        ({"hidden_bias": False}, {"format": "delimited-text"}),
+        ({"head_bias": True}, {"class_count": 3}),
+        ({"hidden_bias": True, "head_bias": True}, {"class_count": None}),
+    ])
+    def test_train(self, tmp_path, monkeypatch, model, data):
+        path = TestClassCounts.split(tmp_path, 3)
+        creates = self.spy(monkeypatch, Classifier, "create")
+        loads = self.spy(monkeypatch, cli, "load_tabular")
+        cmd_train(base_config(model=dict(model, hidden=[4]), train={"epochs": 0},
+                              data=dict(data, train_path=path, test_path=path)))
+        [created] = creates
+        assert {key: created[key] for key in ("hidden_bias", "head_bias")
+                if key in created} == model
+        assert len(loads) == 2
+        for loaded in loads:
+            assert {key: loaded[key] for key in ("format", "class_count")
+                    if key in loaded} == data
 
 
 class TestAttributionCmd:

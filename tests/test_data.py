@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from blas_kernel import PINNED
 from crossfeat.cli import main
 from crossfeat.data import (Dataset, PlantedSpec, generate_planted,
                             load_tabular, pair_index, save_tabular)
@@ -447,11 +448,13 @@ class TestGenDataBytes:
         config.write_text(json.dumps({"data": {"planted": self.SPEC}}))
         assert main(["gen-data", "--config", str(config), "--out", str(tmp_path)]) == 0
         for name, digest in self.DELIMITED.items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, \
+                f"{name}, {PINNED}"
 
     def test_raw_matrix_files(self, tmp_path):
         train, test = generate_planted(PlantedSpec(**self.SPEC))
         for name, dataset in (("train", train), ("test", test)):
             path = tmp_path / name
             save_tabular(dataset, str(path), "raw-matrix")
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == self.RAW[name]
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == self.RAW[name], \
+                f"{name}, {PINNED}"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import crossfeat.model
+from blas_kernel import PINNED
 from crossfeat.model import (Affine, Classifier, CrossEntropy, Distillation,
                              _input_gradient, backward, features, forward,
                              load_checkpoint, log_softmax, save_checkpoint, sgd_step)
@@ -309,11 +310,11 @@ class TestLossEquivalences:
         x, y = tiny_batch(model)
         bundle = backward(model, x, y, CrossEntropy(beta=0.2))
         assert sha256(np.float64(bundle.loss)) == (
-            "2c313f3d1957276214800f41dec5be4275fe3691493e83b84555745d367ac2dd")
+            "2c313f3d1957276214800f41dec5be4275fe3691493e83b84555745d367ac2dd"), PINNED
         assert sha256(bundle.inputs) == (
-            "7eb853a1370cd94ced2bb0e5d457568b5ce9c1b1588ca26330ddf771dab65e57")
+            "7eb853a1370cd94ced2bb0e5d457568b5ce9c1b1588ca26330ddf771dab65e57"), PINNED
         assert sha256(*[bundle.params[name] for name, _ in model.param_items()]) == (
-            "494de6ebd5dca953525d15ed5e50bc38ea542a8102a150c1be1ffd81c0a98a5c")
+            "494de6ebd5dca953525d15ed5e50bc38ea542a8102a150c1be1ffd81c0a98a5c"), PINNED
 
     def test_distillation_mix_zero_equals_cross_entropy(self):
         model = tiny_model()
@@ -410,7 +411,7 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, str(path), epoch=3, metrics={"test_robust_acc": 0.5})
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "a4b48acf66b1086e7c7b93b605d1ef40a4224c53d58c5796e75e588c44cd53b6")
+            "a4b48acf66b1086e7c7b93b605d1ef40a4224c53d58c5796e75e588c44cd53b6"), PINNED
         assert not (tmp_path / "model.ckpt.tmp").exists()
 
     def test_round_trip_is_bit_exact(self, tmp_path):

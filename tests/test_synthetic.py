@@ -9,6 +9,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from blas_kernel import PINNED
 from crossfeat import synthetic
 from crossfeat.cli import main
 from crossfeat.numerics import RngStream, _row_reduce, std_normal_cdf
@@ -18,7 +19,7 @@ from crossfeat.synthetic import (CLASSES, CheckRecord, GroupVerification,
                                  frozen_linear_coefficients, linear_classifier,
                                  linear_logits, ls_margin_samples, margin_loss,
                                  max_gauss_mean_mc, optimal_weights,
-                                 pair_margin_prob, projected_gd_oracle,
+                                 pair_margin_mc, pair_margin_prob, projected_gd_oracle,
                                  replicate_groups, robust_loss_closed,
                                  robust_margin_samples,
                                  run_verification, sample, sample_mixed,
@@ -358,8 +359,7 @@ class TestPairMarginProb:
         h = LinearHypothesis(1.0, 0.7)
         closed = pair_margin_prob(self.P, h)
         n = 200_000
-        mc = pair_margin_prob(self.P, h, method="mc", n_samples=n,
-                              rng=RngStream(14, stream_id=70))
+        mc = pair_margin_mc(self.P, h, n, RngStream(14, stream_id=70))
         se = math.sqrt(closed * (1 - closed) / n)
         assert abs(mc - closed) <= 3.0 * se
 
@@ -376,8 +376,7 @@ class TestPairMarginProb:
         batch.x_c[:, 1] -= self.P.eps
         logits = linear_logits(h, batch.x_e, batch.x_c)
         expected = float(np.mean(logits[:, 0] > logits[:, 1]))
-        assert pair_margin_prob(self.P, h, method="mc", n_samples=n,
-                                rng=RngStream(15, stream_id=70)) == expected
+        assert pair_margin_mc(self.P, h, n, RngStream(15, stream_id=70)) == expected
 
     def test_paper_convention_widens_the_noise(self):
         h = LinearHypothesis(1.0, 0.7)
@@ -390,13 +389,14 @@ class TestPairMarginProb:
             pair_margin_prob(self.P, LinearHypothesis(0.0, 0.5))
         with pytest.raises(ValueError, match="convention"):
             pair_margin_prob(self.P, LinearHypothesis(1.0, 0.5), convention="x")
-        with pytest.raises(ValueError, match="method"):
-            pair_margin_prob(self.P, LinearHypothesis(1.0, 0.5), method="x")
-        with pytest.raises(ValueError, match="rng"):
+        with pytest.raises(TypeError):  # the closed form has no Monte-Carlo method
             pair_margin_prob(self.P, LinearHypothesis(1.0, 0.5), method="mc")
+        with pytest.raises(ValueError, match="w1"):
+            pair_margin_mc(self.P, LinearHypothesis(0.0, 0.5), 10, RngStream(0))
+        with pytest.raises(TypeError):
+            pair_margin_mc(self.P, LinearHypothesis(1.0, 0.5), 10)
         with pytest.raises(ValueError, match="n_samples"):
-            pair_margin_prob(self.P, LinearHypothesis(1.0, 0.5), method="mc",
-                             n_samples=0, rng=RngStream(0))
+            pair_margin_mc(self.P, LinearHypothesis(1.0, 0.5), 0, RngStream(0))
 
 
 class TestMaxGaussMean:
@@ -425,7 +425,9 @@ class TestReplicateGroups:
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="at least one"):
-            replicate_groups([])
+            replicate_groups([], 10, RngStream(0), 1)
+        with pytest.raises(TypeError):
+            replicate_groups([SyntheticParams(eps=0.1, **DEFAULTS)])
 
 
 @pytest.fixture(scope="module")
@@ -511,7 +513,8 @@ class TestSynthVerifyBytes:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert main(["synth-verify", "--out", str(tmp_path)]) == 0
         for name, digest in self.DIGESTS.items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, \
+                f"{name}, {PINNED}"
 
 
 class TestBatchValidation:

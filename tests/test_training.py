@@ -20,7 +20,8 @@ from crossfeat.model import (Affine, Classifier, CrossEntropy, forward,
 from crossfeat.numerics import RngStream
 from crossfeat.training import (EpochRow, RunRecord, TrainConfig,
                                 TrainingDiverged, detect_collapse, evaluate,
-                                lr_at, save_records, train, train_many)
+                                lr_at, measuring_attack, save_records, train,
+                                train_many)
 
 
 def tiny_data():
@@ -83,14 +84,14 @@ class TestTrainConfig:
 
     def test_eval_attack_strips_random_start_by_default(self):
         cfg = tiny_cfg(attack=AttackConfig(epsilon=0.2, random_start=True))
-        resolved = cfg.resolved_eval_attack()
+        resolved = measuring_attack(cfg.attack, cfg.eval_attack)
         assert resolved.random_start is False
         assert resolved.epsilon == 0.2
 
     def test_eval_attack_override_wins(self):
         override = AttackConfig(norm="l2", epsilon=0.5)
         cfg = tiny_cfg(eval_attack=override)
-        assert cfg.resolved_eval_attack() == override
+        assert measuring_attack(cfg.attack, cfg.eval_attack) == override
 
     def test_clean_attribution_default_tracks_mode(self):
         # Standard mode attributes the clean test points; the adversarial
@@ -100,7 +101,7 @@ class TestTrainConfig:
             cfg = tiny_cfg(mode=mode, epochs=1)
             record = train(tiny_model(), train_set, test_set, cfg)
             model = record.last_model
-            _, points = evaluate(model, test_set, cfg.resolved_eval_attack())
+            _, points = evaluate(model, test_set, measuring_attack(cfg.attack, cfg.eval_attack))
             clean_cas = cas(class_attribution_matrix(model, test_set))
             attacked_cas = cas(class_attribution_matrix(model, test_set, points))
             assert clean_cas != attacked_cas
